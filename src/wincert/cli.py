@@ -19,8 +19,9 @@ import json
 import sys
 import time
 
-from . import explain, necessary, oracle, sms, solutions
+from . import explain, oracle, sms, solutions
 from .model import (
+    DEFAULT_GUARD,
     GuardExceededError,
     IncompleteTournamentError,
     PartialTournament,
@@ -86,11 +87,21 @@ def _tournament_payload(g: PartialTournament) -> dict:
     }
 
 
-def _emit(args, command: str, inputs: dict, result: dict, text: str, started: float) -> None:
-    if getattr(args, "json", False):
+# Arguments echoed under "inputs" in the JSON envelope, where a command has them.
+_ECHOED = (
+    "file", "support", "rule", "winner", "format", "guard",
+    "kind", "candidates", "voters", "elements", "subsets", "seed",
+)
+
+
+def _emit(args, result: dict, text: str, started: float) -> None:
+    if args.json:
+        inputs = {key: getattr(args, key) for key in _ECHOED if key in args}
+        if "rule" in inputs:
+            inputs["rule"] = args.rule.value
         envelope = {
             "schema_version": SCHEMA_VERSION,
-            "command": command,
+            "command": args.command,
             "inputs": inputs,
             "result": result,
             "timing_ms": int((time.monotonic() - started) * 1000),
@@ -101,34 +112,33 @@ def _emit(args, command: str, inputs: dict, result: dict, text: str, started: fl
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each returns (result, text, exit code) for main to emit
 # ---------------------------------------------------------------------------
 
 
-def _cmd_winners(args) -> int:
-    started = time.monotonic()
+def _cmd_winners(args) -> tuple[dict, str, int]:
     t = _complete(_load_tournament(args.file))
-    rule = Rule.from_string(args.rule)
     try:
-        winner_set = solutions.winners(rule, t)
+        winner_set = solutions.winners(args.rule, t)
     except ValueError as exc:
         raise _CliError(EXIT_INPUT, str(exc)) from exc
     labels = winner_set.labels(t)
-    result: dict = {"rule": rule.value, "winners": list(labels)}
+    result: dict = {"rule": args.rule.value, "winners": list(labels)}
     text = " ".join(labels)
-    if rule in (Rule.COP, Rule.BORDA, Rule.MM):
-        table = solutions.score_table(rule, t)
+    if args.rule.spec.has_scores:
+        table = solutions.score_table(args.rule, t)
         result["scores"] = {
             t.candidates.labels[i]: s for i, s in enumerate(table.scores)
         }
         text += f" (score {max(table.scores)})"
-    _emit(args, "winners", {"file": args.file, "rule": rule.value}, result, text, started)
-    return EXIT_OK
+    return result, text, EXIT_OK
 
 
-def _compute_sms(args, t: WeightedTournament, rule: Rule, w: int) -> sms.SmsResult:
+def _compute_sms(args) -> sms.SmsResult:
+    t = _complete(_load_tournament(args.file))
+    w = _winner_index(t, args.winner)
     try:
-        return sms.compute_sms(t, w, rule, variant=args.variant, budget=args.budget)
+        return sms.compute_sms(t, w, args.rule, budget=args.budget)
     except sms.NotAWinnerError as exc:
         raise _CliError(EXIT_NOT_WINNER, str(exc)) from exc
     except ValueError as exc:
@@ -150,12 +160,8 @@ def _sms_result_payload(res: sms.SmsResult) -> dict:
     return payload
 
 
-def _cmd_sms(args) -> int:
-    started = time.monotonic()
-    t = _complete(_load_tournament(args.file))
-    rule = Rule.from_string(args.rule)
-    w = _winner_index(t, args.winner)
-    res = _compute_sms(args, t, rule, w)
+def _cmd_sms(args) -> tuple[dict, str, int]:
+    res = _compute_sms(args)
     serialized = serialize_tournament(res.support.partial)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -166,86 +172,34 @@ def _cmd_sms(args) -> int:
             f"budget exhausted: best found {res.size}, proven lower bound "
             f"{res.lower_bound}\n" + text
         )
-    _emit(
-        args,
-        "sms",
-        {"file": args.file, "rule": rule.value, "winner": args.winner},
-        _sms_result_payload(res),
-        text,
-        started,
-    )
-    return EXIT_OK if res.optimal else EXIT_BUDGET
+    return _sms_result_payload(res), text, EXIT_OK if res.optimal else EXIT_BUDGET
 
 
-def _cmd_explain(args) -> int:
-    started = time.monotonic()
-    t = _complete(_load_tournament(args.file))
-    rule = Rule.from_string(args.rule)
-    w = _winner_index(t, args.winner)
-    res = _compute_sms(args, t, rule, w)
+def _cmd_explain(args) -> tuple[dict, str, int]:
+    res = _compute_sms(args)
     cert = explain.extract_structure(res)
-    if args.format == "text":
-        text = explain.render_text(cert)
-    elif args.format == "dot":
-        text = explain.render_dot(cert)
-    else:
-        text = ""
-        args.json = True
     result = _sms_result_payload(res)
-    result["certificate"] = _certificate_payload(cert)
+    result["certificate"] = explain.certificate_payload(cert)
     result["text"] = explain.render_text(cert)
-    _emit(
-        args,
-        "explain",
-        {"file": args.file, "rule": rule.value, "winner": args.winner, "format": args.format},
-        result,
-        text,
-        started,
-    )
-    return EXIT_OK if res.optimal else EXIT_BUDGET
+    if args.format == "json":
+        args.json = True
+    text = explain.render_dot(cert) if args.format == "dot" else result["text"]
+    return result, text, EXIT_OK if res.optimal else EXIT_BUDGET
 
 
-def _certificate_payload(cert) -> dict:
-    labels = cert.candidates.labels
-    if isinstance(cert, explain.OutTreeCertificate):
-        return {
-            "kind": "out-tree",
-            "root": labels[cert.root],
-            "edges": [[labels[p], labels[c], w] for p, c, w in cert.edges],
-        }
-    if isinstance(cert, explain.CoverageCertificate):
-        return {
-            "kind": "coverage",
-            "root": labels[cert.root],
-            "win_row": [[labels[c], w] for c, w in cert.win_row],
-            "clauses": [
-                {
-                    "opponent": labels[cl.opponent],
-                    "intermediate": None if cl.intermediate is None else labels[cl.intermediate],
-                    "weight": cl.weight,
-                }
-                for cl in cert.clauses
-            ],
-        }
-    return {
-        "kind": "neighborhood",
-        "winner": labels[cert.winner],
-        "winner_row": [[labels[c], w] for c, w in cert.winner_row],
-        "loss_rows": [
-            {"candidate": labels[c], "losses": [[labels[b], w] for b, w in entries]}
-            for c, entries in cert.loss_rows
-        ],
-    }
+_VERDICT_EXITS = {
+    "valid-MS": EXIT_OK,
+    "not-necessary": EXIT_NOT_NECESSARY,
+    "not-minimal": EXIT_NOT_MINIMAL,
+}
 
 
-def _cmd_verify(args) -> int:
-    started = time.monotonic()
+def _cmd_verify(args) -> tuple[dict, str, int]:
     t = _load_tournament(args.file)
     claimed = _load_tournament(args.support)
-    rule = Rule.from_string(args.rule)
     w = _winner_index(t, args.winner)
     try:
-        claim = Support(base=t, partial=claimed, rule=rule, winner=w)
+        claim = Support(base=t, partial=claimed, rule=args.rule, winner=w)
         verdict = sms.verify_support(t, claim)
     except SupportCompatibilityError as exc:
         raise _CliError(EXIT_BAD_SUPPORT, str(exc)) from exc
@@ -253,90 +207,47 @@ def _cmd_verify(args) -> int:
         raise _CliError(EXIT_INPUT, str(exc)) from exc
     witness = " ".join(verdict.witness) if verdict.witness else ""
     text = verdict.kind if not witness else f"{verdict.kind} witness: {witness}"
-    _emit(
-        args,
-        "verify",
-        {
-            "file": args.file,
-            "support": args.support,
-            "rule": rule.value,
-            "winner": args.winner,
-        },
-        {"verdict": verdict.kind, "witness": list(verdict.witness or [])},
-        text,
-        started,
-    )
-    if verdict.kind == "not-necessary":
-        return EXIT_NOT_NECESSARY
-    if verdict.kind == "not-minimal":
-        return EXIT_NOT_MINIMAL
-    return EXIT_OK
+    result = {"verdict": verdict.kind, "witness": list(verdict.witness or [])}
+    return result, text, _VERDICT_EXITS[verdict.kind]
 
 
-def _cmd_oracle(args) -> int:
-    started = time.monotonic()
+def _cmd_oracle(args) -> tuple[dict, str, int]:
     t = _complete(_load_tournament(args.file))
-    rule = Rule.from_string(args.rule)
     w = _winner_index(t, args.winner)
-    try:
-        if args.list:
-            supports = list(
-                oracle.enumerate_minimal_supports(t, w, rule, guard=args.guard)
+    if args.list:
+        supports = list(oracle.enumerate_minimal_supports(t, w, args.rule, guard=args.guard))
+        size = min((s.size() for s in supports), default=None)
+        if size is None:
+            raise _CliError(
+                EXIT_NOT_WINNER, f"{args.winner} has no minimal support under {args.rule.value}"
             )
-            size = min((s.size() for s in supports), default=None)
-            if size is None:
-                raise _CliError(EXIT_NOT_WINNER, f"{args.winner} has no minimal support under {rule.value}")
-            blocks = [serialize_tournament(s.partial) for s in supports]
-            text = f"size {size}\n" + "---\n".join(blocks)
-            result = {
-                "size": size,
-                "supports": [_tournament_payload(s.partial) for s in supports],
-            }
-        else:
-            try:
-                size = oracle.oracle_sms_size(t, w, rule, guard=args.guard)
-            except ValueError as exc:
-                raise _CliError(EXIT_NOT_WINNER, str(exc)) from exc
-            text = str(size)
-            result = {"size": size}
-    except GuardExceededError as exc:
-        raise _CliError(EXIT_GUARD, str(exc)) from exc
-    _emit(
-        args,
-        "oracle",
-        {"file": args.file, "rule": rule.value, "winner": args.winner, "guard": args.guard},
-        result,
-        text,
-        started,
-    )
-    return EXIT_OK
+        blocks = [serialize_tournament(s.partial) for s in supports]
+        text = f"size {size}\n" + "---\n".join(blocks)
+        result = {
+            "size": size,
+            "supports": [_tournament_payload(s.partial) for s in supports],
+        }
+    else:
+        try:
+            size = oracle.oracle_sms_size(t, w, args.rule, guard=args.guard)
+        except ValueError as exc:
+            raise _CliError(EXIT_NOT_WINNER, str(exc)) from exc
+        text = str(size)
+        result = {"size": size}
+    return result, text, EXIT_OK
 
 
-def _cmd_generate(args) -> int:
-    started = time.monotonic()
+def _cmd_generate(args) -> tuple[dict, str, int]:
     if args.kind == "random":
         t = oracle.random_tournament(args.candidates, args.voters, args.seed)
-        inputs = {
-            "kind": "random",
-            "candidates": args.candidates,
-            "voters": args.voters,
-            "seed": args.seed,
-        }
     else:
         inst = oracle.random_setcover_instance(args.elements, args.subsets, args.seed)
         t, _ = oracle.build_setcover_tournament(inst)
-        inputs = {
-            "kind": "setcover",
-            "elements": args.elements,
-            "subsets": args.subsets,
-            "seed": args.seed,
-        }
     serialized = serialize_tournament(t)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(serialized)
-    _emit(args, "generate", inputs, _tournament_payload(t), serialized, started)
-    return EXIT_OK
+    return _tournament_payload(t), serialized, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -351,17 +262,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, winner=True, variant=False):
+    def add_common(p, winner=True, budget=False):
         p.add_argument("--rule", required=True, help="tc, uc, cop, borda, mm, or wuc")
         if winner:
             p.add_argument("--winner", required=True, help="candidate label")
-        if variant:
-            p.add_argument(
-                "--variant",
-                choices=["shortest-paths", "maxwin", "exact"],
-                default=None,
-                help="must match the rule's canonical variant",
-            )
+        if budget:
             p.add_argument(
                 "--budget",
                 type=int,
@@ -372,68 +277,61 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("file", help="tournament file")
 
     p = sub.add_parser("winners", help="compute the winner set")
-    p.add_argument("--rule", required=True)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("file")
+    add_common(p, winner=False)
     p.set_defaults(func=_cmd_winners)
 
     p = sub.add_parser("sms", help="compute a smallest minimal support")
-    add_common(p, variant=True)
+    add_common(p, budget=True)
     p.add_argument("--out", help="write the support in tournament format")
     p.set_defaults(func=_cmd_sms)
 
     p = sub.add_parser("explain", help="render a certified explanation")
-    add_common(p, variant=True)
+    add_common(p, budget=True)
     p.add_argument("--format", choices=["text", "json", "dot"], default="text")
     p.set_defaults(func=_cmd_explain)
 
     p = sub.add_parser("verify", help="verify a claimed minimal support")
-    p.add_argument("--rule", required=True)
-    p.add_argument("--winner", required=True)
+    add_common(p)
     p.add_argument("--support", required=True, help="support file to check")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("file")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("oracle", help="brute-force smallest-support size")
-    p.add_argument("--rule", required=True)
-    p.add_argument("--winner", required=True)
-    p.add_argument("--guard", type=int, default=10**7)
+    add_common(p)
+    p.add_argument("--guard", type=int, default=DEFAULT_GUARD)
     p.add_argument("--list", action="store_true", help="stream every minimal support")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("file")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("generate", help="generate reproducible instances")
     gen_sub = p.add_subparsers(dest="kind", required=True)
-    g = gen_sub.add_parser("random", help="seeded random complete tournament")
-    g.add_argument("--candidates", type=int, required=True)
-    g.add_argument("--voters", type=int, default=1)
-    g.add_argument("--seed", type=int, required=True)
-    g.add_argument("--out")
-    g.add_argument("--json", action="store_true")
-    g.set_defaults(func=_cmd_generate)
-    g = gen_sub.add_parser("setcover", help="hardness-construction tournament")
-    g.add_argument("--elements", type=int, required=True)
-    g.add_argument("--subsets", type=int, required=True)
-    g.add_argument("--seed", type=int, required=True)
-    g.add_argument("--out")
-    g.add_argument("--json", action="store_true")
-    g.set_defaults(func=_cmd_generate)
+    random_p = gen_sub.add_parser("random", help="seeded random complete tournament")
+    random_p.add_argument("--candidates", type=int, required=True)
+    random_p.add_argument("--voters", type=int, default=1)
+    setcover_p = gen_sub.add_parser("setcover", help="hardness-construction tournament")
+    setcover_p.add_argument("--elements", type=int, required=True)
+    setcover_p.add_argument("--subsets", type=int, required=True)
+    for g in (random_p, setcover_p):
+        g.add_argument("--seed", type=int, required=True)
+        g.add_argument("--out")
+        g.add_argument("--json", action="store_true")
+        g.set_defaults(func=_cmd_generate)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    started = time.monotonic()
     try:
-        return args.func(args)
+        if "rule" in args:
+            args.rule = Rule.from_string(args.rule)
+        result, text, code = args.func(args)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
     except GuardExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
+    _emit(args, result, text, started)
+    return code
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .model import CandidateSet, PartialTournament, Rule, freeze_matrix
+from .necessary import bfs_tree
 from .sms import SmsResult
 
 
@@ -56,6 +57,8 @@ class CoverageClause:
 
 @dataclass(frozen=True)
 class CoverageCertificate:
+    rule = Rule.WUC  # class constant, not a field
+
     candidates: CandidateSet
     n: int
     root: int
@@ -86,12 +89,7 @@ Certificate = OutTreeCertificate | CoverageCertificate | NeighborhoodCertificate
 
 def extract_structure(result: SmsResult) -> Certificate:
     """Extract the certificate skeleton from a verified support."""
-    rule = result.support.rule
-    if rule in (Rule.TC, Rule.UC):
-        return _extract_tree(result)
-    if rule is Rule.WUC:
-        return _extract_coverage(result)
-    return _extract_neighborhood(result)
+    return _EXTRACTORS[result.support.rule.spec.kind](result)
 
 
 def _extract_tree(result: SmsResult) -> OutTreeCertificate:
@@ -110,31 +108,13 @@ def _extract_tree(result: SmsResult) -> OutTreeCertificate:
         children_seen.add(c)
     if len(children_seen) != g.m - 1:
         raise StructureError("every non-root candidate needs exactly one incoming edge")
-    depth = _tree_depths(g, root, edges)
-    if any(d < 0 for d in depth):
+    depth = bfs_tree(g.weights, root)[1]
+    if min(depth) < 0:
         raise StructureError("support edges do not form a tree rooted at the winner")
-    if support.rule is Rule.UC and max(depth) > 2:
+    max_depth = support.rule.spec.depth
+    if max_depth is not None and max(depth) > max_depth:
         raise StructureError("uncovered-set supports have depth at most 2")
     return OutTreeCertificate(g.candidates, g.n, support.rule, root, edges)
-
-
-def _tree_depths(g: PartialTournament, root: int, edges) -> list[int]:
-    depth = [-1] * g.m
-    depth[root] = 0
-    remaining = list(edges)
-    while remaining:
-        rest = []
-        progressed = False
-        for p, c, wgt in remaining:
-            if depth[p] >= 0:
-                depth[c] = depth[p] + 1
-                progressed = True
-            else:
-                rest.append((p, c, wgt))
-        if not progressed:
-            break
-        remaining = rest
-    return depth
 
 
 def _extract_coverage(result: SmsResult) -> CoverageCertificate:
@@ -186,6 +166,13 @@ def _extract_neighborhood(result: SmsResult) -> NeighborhoodCertificate:
     return NeighborhoodCertificate(g.candidates, g.n, support.rule, w, winner_row, tuple(loss_rows))
 
 
+_EXTRACTORS = {
+    "path": _extract_tree,
+    "coverage": _extract_coverage,
+    "score": _extract_neighborhood,
+}
+
+
 def regenerate_support(cert: Certificate) -> PartialTournament:
     """Rebuild the exact weight matrix a certificate was extracted from."""
     m = cert.candidates.m
@@ -213,6 +200,40 @@ def _certificate_edges(cert: Certificate) -> list[tuple[int, int, int]]:
             for b, wgt in entries:
                 edges[(b, c)] = wgt
     return [(src, dst, wgt) for (src, dst), wgt in sorted(edges.items())]
+
+
+def certificate_payload(cert: Certificate) -> dict:
+    """The certificate as JSON-ready data, candidates by label."""
+    labels = cert.candidates.labels
+    if isinstance(cert, OutTreeCertificate):
+        return {
+            "kind": "out-tree",
+            "root": labels[cert.root],
+            "edges": [[labels[p], labels[c], w] for p, c, w in cert.edges],
+        }
+    if isinstance(cert, CoverageCertificate):
+        return {
+            "kind": "coverage",
+            "root": labels[cert.root],
+            "win_row": [[labels[c], w] for c, w in cert.win_row],
+            "clauses": [
+                {
+                    "opponent": labels[cl.opponent],
+                    "intermediate": None if cl.intermediate is None else labels[cl.intermediate],
+                    "weight": cl.weight,
+                }
+                for cl in cert.clauses
+            ],
+        }
+    return {
+        "kind": "neighborhood",
+        "winner": labels[cert.winner],
+        "winner_row": [[labels[c], w] for c, w in cert.winner_row],
+        "loss_rows": [
+            {"candidate": labels[c], "losses": [[labels[b], w] for b, w in entries]}
+            for c, entries in cert.loss_rows
+        ],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -272,17 +293,7 @@ def render_text(cert: Certificate) -> str:
     if cert.candidates.m == 1:
         root = cert.root if not isinstance(cert, NeighborhoodCertificate) else cert.winner
         return TEMPLATES["trivial"].format(w=labels[root]) + "\n"
-    if isinstance(cert, OutTreeCertificate):
-        if cert.rule is Rule.TC:
-            return _render_tc(cert)
-        return _render_uc(cert)
-    if isinstance(cert, CoverageCertificate):
-        return _render_wuc(cert)
-    if cert.rule is Rule.MM:
-        return _render_mm(cert)
-    if cert.rule is Rule.COP:
-        return _render_cop(cert)
-    return _render_borda(cert)
+    return _RENDERERS[cert.rule](cert)
 
 
 def _sum_string(total: int, terms: list[int]) -> str:
@@ -437,6 +448,16 @@ def _render_mm(cert: NeighborhoodCertificate) -> str:
             )
         )
     return "\n".join(lines) + "\n"
+
+
+_RENDERERS = {
+    Rule.TC: _render_tc,
+    Rule.UC: _render_uc,
+    Rule.WUC: _render_wuc,
+    Rule.COP: _render_cop,
+    Rule.BORDA: _render_borda,
+    Rule.MM: _render_mm,
+}
 
 
 # ---------------------------------------------------------------------------

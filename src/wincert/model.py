@@ -67,9 +67,41 @@ class Rule(Enum):
             raise ValueError(f"unknown rule {name!r} (expected one of: {valid})") from None
 
     @property
+    def spec(self) -> "RuleSpec":
+        return RULE_SPECS[self]
+
+    @property
     def requires_unit_weights(self) -> bool:
         """TC, UC and Copeland are defined on 1-weighted tournaments only."""
-        return self in (Rule.TC, Rule.UC, Rule.COP)
+        return self.spec.unit_weights
+
+
+@dataclass(frozen=True)
+class RuleSpec:
+    """What every layer needs to know about a rule.
+
+    ``kind`` is ``"path"`` (supports are shortest-path out-trees),
+    ``"score"`` (maxwin neighbourhoods) or ``"coverage"`` (the weighted
+    uncovered set's clause structures).  ``depth`` bounds the path
+    length of a path rule (None: unbounded).  ``variant`` names the SMS
+    construction and ``has_scores`` says whether winners carry a score
+    table."""
+
+    kind: str
+    depth: int | None
+    unit_weights: bool
+    variant: str
+    has_scores: bool
+
+
+RULE_SPECS = {
+    Rule.TC: RuleSpec("path", None, True, "shortest-paths", False),
+    Rule.UC: RuleSpec("path", 2, True, "shortest-paths", False),
+    Rule.COP: RuleSpec("score", None, True, "maxwin", True),
+    Rule.BORDA: RuleSpec("score", None, False, "maxwin", True),
+    Rule.MM: RuleSpec("score", None, False, "maxwin", True),
+    Rule.WUC: RuleSpec("coverage", None, False, "exact", False),
+}
 
 
 @dataclass(frozen=True)

@@ -76,39 +76,46 @@ def failing_opponents(g: PartialTournament, w: int, rule: Rule) -> tuple[int, ..
     (empty iff w is a necessary winner)."""
     if not 0 <= w < g.m:
         raise ValueError(f"candidate index {w} out of range")
-    if rule.requires_unit_weights and g.n != 1:
+    spec = rule.spec
+    if spec.unit_weights and g.n != 1:
         raise ValueError(f"rule {rule.value} needs a 1-weighted tournament, got n={g.n}")
     if g.m == 1:
         return ()
-    if rule is Rule.TC:
-        return _unreached(g, w, max_depth=None)
-    if rule is Rule.UC:
-        return _unreached(g, w, max_depth=2)
-    if rule in (Rule.BORDA, Rule.COP):
-        return tuple(mg.opponent for mg in score_margins(g, w, rule) if mg.delta < 0)
+    if spec.kind == "path":
+        depth = bfs_tree(g.weights, w, spec.depth)[1]
+        return tuple(c for c in range(g.m) if depth[c] < 0)
+    if spec.kind == "coverage":
+        return _failing_wuc(g, w)
     if rule is Rule.MM:
         return _failing_mm(g, w)
-    return _failing_wuc(g, w)
+    return tuple(mg.opponent for mg in score_margins(g, w, rule) if mg.delta < 0)
 
 
-def _unreached(g: PartialTournament, w: int, max_depth: int | None) -> tuple[int, ...]:
-    m = g.m
-    weights = g.weights
-    dist = [-1] * m
-    dist[w] = 0
-    queue = [w]
-    while queue:
-        nxt = []
-        for u in queue:
-            if max_depth is not None and dist[u] >= max_depth:
-                continue
-            row = weights[u]
-            for v in range(m):
-                if row[v] and dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    nxt.append(v)
-        queue = nxt
-    return tuple(c for c in range(m) if dist[c] < 0)
+def bfs_tree(
+    weights: tuple[tuple[int, ...], ...], root: int, max_depth: int | None = None
+) -> tuple[list[int], list[int]]:
+    """Breadth-first search from root along positive-weight edges, at most
+    ``max_depth`` steps deep (None: unbounded).
+
+    Sources leave the queue, and their targets are scanned, in canonical
+    order, so the tree is the canonical shortest-path tree.  Returns
+    ``(parent, depth)``: ``depth[c]`` is -1 for unreached candidates, and
+    ``parent[c]`` is -1 for the root and for unreached candidates."""
+    m = len(weights)
+    parent = [-1] * m
+    depth = [-1] * m
+    depth[root] = 0
+    queue = [root]
+    for u in queue:
+        du = depth[u] + 1
+        if max_depth is not None and du > max_depth:
+            continue
+        for v, wgt in enumerate(weights[u]):
+            if wgt and depth[v] < 0:
+                depth[v] = du
+                parent[v] = u
+                queue.append(v)
+    return parent, depth
 
 
 def _failing_mm(g: PartialTournament, w: int) -> tuple[int, ...]:

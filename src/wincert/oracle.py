@@ -1,9 +1,9 @@
 """Brute-force ground truth and instance generators, at desk scale.
 
 Everything here exists to check the production algorithms: exhaustive
-enumeration of minimal supports, true smallest-support sizes, a
-set-cover-to-tournament builder whose optimum is known, and seeded
-random tournaments.
+enumeration of minimal supports, true smallest-support sizes, an
+independently coded weighted uncovered set, a set-cover-to-tournament
+builder whose optimum is known, and seeded random tournaments.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .model import (
     WeightedTournament,
     freeze_matrix,
 )
+from .solutions import WinnerSet
 
 NwCheck = Callable[[PartialTournament, int, Rule], bool]
 
@@ -122,6 +123,30 @@ def enumerate_smallest_supports(
         for s in enumerate_minimal_supports(t, w, rule, guard, nw)
         if s.size() == smallest
     ]
+
+
+def weighted_uncovered_set_by_covering(t: WeightedTournament) -> WinnerSet:
+    """Dual implementation via the covering relation, used as a test oracle.
+
+    x weighted-covers y when x does at least as well as y in their
+    head-to-head and against every third candidate."""
+    t = t.as_complete()
+    m = t.m
+    w = t.weights
+    winners = []
+    for y in range(m):
+        covered = False
+        for x in range(m):
+            if x == y:
+                continue
+            if w[x][y] >= w[y][x] and all(
+                w[x][z] >= w[y][z] for z in range(m) if z != x and z != y
+            ):
+                covered = True
+                break
+        if not covered:
+            winners.append(y)
+    return WinnerSet(Rule.WUC, tuple(winners))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ drained.  Outputs are therefore byte-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from . import necessary, solutions
 from .model import PartialTournament, Rule, Support, WeightedTournament
@@ -53,17 +52,24 @@ class SmsResult:
     lower_bound: int | None = None
 
 
-def _result(t, w, rule, matrix, variant, optimal=True, lower_bound=None) -> SmsResult:
+def _result(t, w, rule, matrix, optimal=True, lower_bound=None) -> SmsResult:
     partial = t._trusted_subweighting(matrix)
     support = Support._trusted(t, partial, rule, w)
     return SmsResult(
         support=support,
         size=partial.support_size(),
-        variant=variant,
+        variant=rule.spec.variant,
         win_count=sum(partial.weights[w]),
         optimal=optimal,
         lower_bound=lower_bound,
     )
+
+
+def _complete_for(t: WeightedTournament, rule: Rule) -> WeightedTournament:
+    t = t.as_complete()
+    if rule.spec.unit_weights and t.n != 1:
+        raise ValueError(f"{rule.value} supports need a 1-weighted tournament")
+    return t
 
 
 def _check_winner(t: WeightedTournament, w: int, rule: Rule, member: bool) -> None:
@@ -85,7 +91,7 @@ def sms_tc(t: WeightedTournament, w: int) -> SmsResult:
     Every minimal support is a w-rooted out-tree with m - 1 edges; the
     BFS tree additionally realizes shortest distances, with canonical
     tie-breaking."""
-    return _tree_sms(t, w, Rule.TC, max_depth=None)
+    return _tree_sms(t, w, Rule.TC)
 
 
 def sms_uc(t: WeightedTournament, w: int) -> SmsResult:
@@ -93,45 +99,22 @@ def sms_uc(t: WeightedTournament, w: int) -> SmsResult:
 
     Depth-1 children are the candidates w beats; every other candidate
     hangs off the canonically first intermediate that reaches it."""
-    return _tree_sms(t, w, Rule.UC, max_depth=2)
+    return _tree_sms(t, w, Rule.UC)
 
 
-def _tree_sms(t: WeightedTournament, w: int, rule: Rule, max_depth: int | None) -> SmsResult:
-    t = t.as_complete()
-    if t.n != 1:
-        raise ValueError(f"{rule.value} supports need a 1-weighted tournament")
+def _tree_sms(t: WeightedTournament, w: int, rule: Rule) -> SmsResult:
+    t = _complete_for(t, rule)
     if not 0 <= w < t.m:
         raise ValueError(f"candidate index {w} out of range")
-    matrix = [[0] * t.m for _ in range(t.m)]
-    reached = 1
-    for parent, child in _bfs_tree_edges(t, w, max_depth):
-        matrix[parent][child] = 1
-        reached += 1
+    parent, depth = necessary.bfs_tree(t.weights, w, rule.spec.depth)
     # The BFS doubles as the membership test: w wins iff it reaches
     # everyone (within two steps for the uncovered set).
-    _check_winner(t, w, rule, reached == t.m)
-    return _result(t, w, rule, matrix, "shortest-paths")
-
-
-def _bfs_tree_edges(
-    t: WeightedTournament, w: int, max_depth: int | None
-) -> Iterator[tuple[int, int]]:
-    weights = t.weights
-    dist = [-1] * t.m
-    dist[w] = 0
-    queue = [w]
-    while queue:
-        nxt = []
-        for u in queue:
-            if max_depth is not None and dist[u] >= max_depth:
-                continue
-            du = dist[u] + 1
-            for v, beaten in enumerate(weights[u]):
-                if beaten and dist[v] < 0:
-                    dist[v] = du
-                    yield u, v
-                    nxt.append(v)
-        queue = nxt
+    _check_winner(t, w, rule, min(depth) >= 0)
+    matrix = [[0] * t.m for _ in range(t.m)]
+    for child, p in enumerate(parent):
+        if p >= 0:
+            matrix[p][child] = 1
+    return _result(t, w, rule, matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -143,13 +126,7 @@ def sms_cop(t: WeightedTournament, w: int) -> SmsResult:
     """Maxwin-SMS for Copeland: for a Condorcet winner, the star of its
     wins; otherwise all of w's out-edges plus, per opponent, recorded
     losses until each opponent has m - 1 - sigma_w of them."""
-    t = t.as_complete()
-    if t.n != 1:
-        raise ValueError("cop supports need a 1-weighted tournament")
-    _, winner_set = solutions.copeland(t)
-    _check_winner(t, w, Rule.COP, w in winner_set.winners)
-    matrix = _score_support_matrix(t, w)
-    return _result(t, w, Rule.COP, matrix, "maxwin")
+    return _maxwin_sms(t, w, Rule.COP)
 
 
 def sms_borda(t: WeightedTournament, w: int) -> SmsResult:
@@ -160,11 +137,13 @@ def sms_borda(t: WeightedTournament, w: int) -> SmsResult:
     n(m-1) - sigma_w.  Otherwise w's wins alone over-certify: trim them
     to total n(m-1) - min(floor(n(m-1)/m), min-out-weight), never letting
     a pair drop below that minimum, draining canonically."""
-    t = t.as_complete()
-    _, winner_set = solutions.borda(t)
-    _check_winner(t, w, Rule.BORDA, w in winner_set.winners)
-    matrix = _score_support_matrix(t, w)
-    return _result(t, w, Rule.BORDA, matrix, "maxwin")
+    return _maxwin_sms(t, w, Rule.BORDA)
+
+
+def _maxwin_sms(t: WeightedTournament, w: int, rule: Rule) -> SmsResult:
+    t = _complete_for(t, rule)
+    _check_winner(t, w, rule, w in solutions.winners(rule, t).winners)
+    return _result(t, w, rule, _score_support_matrix(t, w))
 
 
 def _score_support_matrix(t: WeightedTournament, w: int) -> list[list[int]]:
@@ -222,7 +201,7 @@ def sms_mm(t: WeightedTournament, w: int) -> SmsResult:
     mu = t.weights
     matrix = [[0] * m for _ in range(m)]
     if m == 1:
-        return _result(t, w, Rule.MM, matrix, "maxwin")
+        return _result(t, w, Rule.MM, matrix)
     level = min(score_table.scores[w], n // 2)
     heavy = n - level
     for c in range(m):
@@ -238,7 +217,7 @@ def sms_mm(t: WeightedTournament, w: int) -> SmsResult:
                     break
             else:
                 raise AssertionError("a maximin winner always has a heavy source per light opponent")
-    return _result(t, w, Rule.MM, matrix, "maxwin")
+    return _result(t, w, Rule.MM, matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +257,17 @@ class _WucSearch:
         self.nodes = 0
         self.best_cost: int | None = None
         self.best_modes: dict[int, object] | None = None
-        self.modes: dict[int, object] = {}
-        self.clients: dict[int, list[int]] = {c: [] for c in self.opponents}
+        self.load({})
         self.own_lb = {c: self._own_lower_bound(c) for c in self.opponents}
+
+    def load(self, modes: dict[int, object]) -> None:
+        """Make ``modes`` the current assignment; the client lists are
+        derived from it here and kept in step by ``_assign``."""
+        self.modes = modes
+        self.clients: dict[int, list[int]] = {c: [] for c in self.opponents}
+        for c, mode in modes.items():
+            if mode != "direct":
+                self.clients[mode].append(c)
 
     def _own_lower_bound(self, c: int) -> int:
         mu, n, w = self.mu, self.n, self.w
@@ -336,6 +323,7 @@ class _WucSearch:
         return True
 
     def search(self, tree_only: bool, incumbent: int | None) -> None:
+        self.load({})
         self.best_cost = incumbent
         self.best_modes = None
         self._assign(0, tree_only)
@@ -403,13 +391,9 @@ class _WucSearch:
                 for x in self.opponents:
                     if x != c and self.mu[self.w][x] + self.mu[x][c] >= self.n + 1:
                         modes[c] = x
-                        self.clients[x].append(c)
                         break
                 else:
                     raise AssertionError("membership guarantees a witness per opponent")
-        # Rebuild client lists cleanly (the loop above appended already).
-        for x in self.opponents:
-            self.clients[x] = [c for c, mode in modes.items() if mode == x]
         return modes
 
 
@@ -425,22 +409,17 @@ def sms_wuc_exact(
     t = t.as_complete()
     _check_winner(t, w, Rule.WUC, solutions.is_wuc_winner(t, w))
     if t.m == 1:
-        return _result(t, w, Rule.WUC, [[0]], "exact")
+        return _result(t, w, Rule.WUC, [[0]])
 
     search = _WucSearch(t, w, budget)
-    witness = search.witness_modes()
-    witness_cost = search._cost(witness, optimistic=False)
-    search.clients = {c: [] for c in search.opponents}
-
-    best_modes = witness
-    best_cost = witness_cost
+    best_modes = search.witness_modes()
+    search.load(best_modes)
+    best_cost = search._cost(best_modes, optimistic=False)
     exhausted = False
     try:
         search.search(tree_only=True, incumbent=None)
         if search.best_modes is not None and search.best_cost <= best_cost:
             best_modes, best_cost = search.best_modes, search.best_cost
-        search.modes = {}
-        search.clients = {c: [] for c in search.opponents}
         search.search(tree_only=False, incumbent=best_cost)
         if search.best_modes is not None and search.best_cost < best_cost:
             best_modes, best_cost = search.best_modes, search.best_cost
@@ -449,17 +428,13 @@ def sms_wuc_exact(
         if search.best_modes is not None and search.best_cost < best_cost:
             best_modes, best_cost = search.best_modes, search.best_cost
 
-    search.clients = {c: [] for c in search.opponents}
-    for c, mode in best_modes.items():
-        if mode != "direct":
-            search.clients[mode].append(c)
+    search.load(best_modes)
     matrix = search.matrix_for(best_modes)
     return _result(
         t,
         w,
         Rule.WUC,
         matrix,
-        "exact",
         optimal=not exhausted,
         lower_bound=search.root_lower_bound() if exhausted else None,
     )
@@ -499,7 +474,7 @@ def sms_size_formula(spec: SizeFormulaInput) -> int | tuple[int, int]:
         raise ValueError("need n >= 1 and m >= 1")
     if m == 1:
         return (0, 0) if rule is Rule.WUC else 0
-    if rule in (Rule.TC, Rule.UC):
+    if rule.spec.kind == "path":
         return m - 1
     if rule is Rule.WUC:
         if m < 3:
@@ -597,35 +572,20 @@ def verify_support(t: PartialTournament, claim: Support) -> SupportVerdict:
 # Dispatch
 # ---------------------------------------------------------------------------
 
-DEFAULT_VARIANTS = {
-    Rule.TC: "shortest-paths",
-    Rule.UC: "shortest-paths",
-    Rule.COP: "maxwin",
-    Rule.BORDA: "maxwin",
-    Rule.MM: "maxwin",
-    Rule.WUC: "exact",
+_POLYNOMIAL_SMS = {
+    Rule.TC: sms_tc,
+    Rule.UC: sms_uc,
+    Rule.COP: sms_cop,
+    Rule.BORDA: sms_borda,
+    Rule.MM: sms_mm,
 }
 
 
 def compute_sms(
-    t: WeightedTournament,
-    w: int,
-    rule: Rule,
-    variant: str | None = None,
-    budget: int = DEFAULT_WUC_BUDGET,
+    t: WeightedTournament, w: int, rule: Rule, budget: int = DEFAULT_WUC_BUDGET
 ) -> SmsResult:
-    """Compute the SMS for (rule, w) with the rule's canonical variant."""
-    expected = DEFAULT_VARIANTS[rule]
-    if variant is not None and variant != expected:
-        raise ValueError(f"rule {rule.value} supports only the {expected!r} variant")
-    if rule is Rule.TC:
-        return sms_tc(t, w)
-    if rule is Rule.UC:
-        return sms_uc(t, w)
-    if rule is Rule.COP:
-        return sms_cop(t, w)
-    if rule is Rule.BORDA:
-        return sms_borda(t, w)
-    if rule is Rule.MM:
-        return sms_mm(t, w)
-    return sms_wuc_exact(t, w, budget)
+    """Compute the SMS for (rule, w) with the rule's construction
+    (``rule.spec.variant``); ``budget`` caps the exact wuc search."""
+    if rule.spec.kind == "coverage":
+        return sms_wuc_exact(t, w, budget)
+    return _POLYNOMIAL_SMS[rule](t, w)

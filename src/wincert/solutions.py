@@ -133,8 +133,8 @@ def weighted_uncovered_set(t: WeightedTournament) -> WinnerSet:
 
     Candidate y reaches x when mu(y, x) > mu(x, y), or some intermediate z
     has mu(y, z) > mu(x, z).  This path form is the canonical
-    implementation; :func:`weighted_uncovered_set_by_covering` is its
-    independently coded dual.  On a 1-weighted tournament it coincides
+    implementation; :func:`wincert.oracle.weighted_uncovered_set_by_covering`
+    is its independently coded dual.  On a 1-weighted tournament it coincides
     with the uncovered set.  Degenerate even-n tournaments in which two
     candidates are tied on every coordinate can leave the set empty.
     """
@@ -154,55 +154,28 @@ def _wuc_reaches(w, m: int, y: int, x: int) -> bool:
     return any(w[y][z] > w[x][z] for z in range(m) if z != x and z != y)
 
 
-def weighted_uncovered_set_by_covering(t: WeightedTournament) -> WinnerSet:
-    """Dual implementation via the covering relation, used as a test oracle.
-
-    x weighted-covers y when x does at least as well as y in their
-    head-to-head and against every third candidate."""
-    _require_complete(t)
-    m = t.m
-    w = t.weights
-    winners = []
-    for y in range(m):
-        covered = False
-        for x in range(m):
-            if x == y:
-                continue
-            if w[x][y] >= w[y][x] and all(
-                w[x][z] >= w[y][z] for z in range(m) if z != x and z != y
-            ):
-                covered = True
-                break
-        if not covered:
-            winners.append(y)
-    return WinnerSet(Rule.WUC, tuple(winners))
-
-
 def is_wuc_winner(t: WeightedTournament, w: int) -> bool:
     _require_complete(t)
     return all(_wuc_reaches(t.weights, t.m, w, x) for x in range(t.m) if x != w)
 
 
+_SOLVERS = {
+    Rule.TC: top_cycle,
+    Rule.UC: uncovered_set,
+    Rule.COP: copeland,
+    Rule.BORDA: borda,
+    Rule.MM: maximin,
+    Rule.WUC: weighted_uncovered_set,
+}
+
+
 def winners(rule: Rule, t: WeightedTournament) -> WinnerSet:
     """Winner set of ``rule`` on a complete tournament."""
-    if rule is Rule.TC:
-        return top_cycle(t)
-    if rule is Rule.UC:
-        return uncovered_set(t)
-    if rule is Rule.COP:
-        return copeland(t)[1]
-    if rule is Rule.BORDA:
-        return borda(t)[1]
-    if rule is Rule.MM:
-        return maximin(t)[1]
-    return weighted_uncovered_set(t)
+    out = _SOLVERS[rule](t)
+    return out[1] if rule.spec.has_scores else out
 
 
 def score_table(rule: Rule, t: WeightedTournament) -> ScoreTable:
-    if rule is Rule.COP:
-        return copeland(t)[0]
-    if rule is Rule.BORDA:
-        return borda(t)[0]
-    if rule is Rule.MM:
-        return maximin(t)[0]
-    raise ValueError(f"rule {rule.value} has no score table")
+    if not rule.spec.has_scores:
+        raise ValueError(f"rule {rule.value} has no score table")
+    return _SOLVERS[rule](t)[0]

@@ -123,14 +123,6 @@ def test_sms_wuc_budget_exhausted_exits_5(capsys):
     assert "budget exhausted" in out
 
 
-def test_sms_variant_mismatch(capsys):
-    code, _, err = run(
-        capsys, "sms", "--rule", "tc", "--winner", "a", "--variant", "maxwin", U4
-    )
-    assert code == 2
-    assert "variant" in err
-
-
 def test_sms_json_envelope(capsys):
     code, envelope, _ = run_json(capsys, "sms", "--rule", "mm", "--winner", "a", W5A)
     assert code == 0

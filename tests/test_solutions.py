@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wincert.model import IncompleteTournamentError, PartialTournament, Rule, WeightedTournament
-from wincert.oracle import random_tournament
+from wincert.oracle import random_tournament, weighted_uncovered_set_by_covering
 from wincert.solutions import (
     borda,
     copeland,
@@ -16,7 +16,6 @@ from wincert.solutions import (
     top_cycle,
     uncovered_set,
     weighted_uncovered_set,
-    weighted_uncovered_set_by_covering,
     winners,
 )
 
