@@ -70,6 +70,13 @@ def _complete(t: PartialTournament) -> WeightedTournament:
         raise _CliError(EXIT_INCOMPLETE, str(exc)) from exc
 
 
+def _rule(name: str) -> Rule:
+    try:
+        return Rule.from_string(name)
+    except ValueError as exc:
+        raise _CliError(EXIT_INPUT, str(exc)) from exc
+
+
 def _winner_index(t: PartialTournament, label: str) -> int:
     try:
         return t.candidates.index(label)
@@ -238,11 +245,14 @@ def _cmd_oracle(args) -> tuple[dict, str, int]:
 
 
 def _cmd_generate(args) -> tuple[dict, str, int]:
-    if args.kind == "random":
-        t = oracle.random_tournament(args.candidates, args.voters, args.seed)
-    else:
-        inst = oracle.random_setcover_instance(args.elements, args.subsets, args.seed)
-        t, _ = oracle.build_setcover_tournament(inst)
+    try:
+        if args.kind == "random":
+            t = oracle.random_tournament(args.candidates, args.voters, args.seed)
+        else:
+            inst = oracle.random_setcover_instance(args.elements, args.subsets, args.seed)
+            t, _ = oracle.build_setcover_tournament(inst)
+    except ValueError as exc:
+        raise _CliError(EXIT_INPUT, str(exc)) from exc
     serialized = serialize_tournament(t)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -253,6 +263,16 @@ def _cmd_generate(args) -> tuple[dict, str, int]:
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -269,7 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if budget:
             p.add_argument(
                 "--budget",
-                type=int,
+                type=_positive_int,
                 default=sms.DEFAULT_WUC_BUDGET,
                 help="node budget for the exact wuc search",
             )
@@ -297,18 +317,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="brute-force smallest-support size")
     add_common(p)
-    p.add_argument("--guard", type=int, default=DEFAULT_GUARD)
+    p.add_argument("--guard", type=_positive_int, default=DEFAULT_GUARD)
     p.add_argument("--list", action="store_true", help="stream every minimal support")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("generate", help="generate reproducible instances")
     gen_sub = p.add_subparsers(dest="kind", required=True)
     random_p = gen_sub.add_parser("random", help="seeded random complete tournament")
-    random_p.add_argument("--candidates", type=int, required=True)
-    random_p.add_argument("--voters", type=int, default=1)
+    random_p.add_argument("--candidates", type=_positive_int, required=True)
+    random_p.add_argument("--voters", type=_positive_int, default=1)
     setcover_p = gen_sub.add_parser("setcover", help="hardness-construction tournament")
-    setcover_p.add_argument("--elements", type=int, required=True)
-    setcover_p.add_argument("--subsets", type=int, required=True)
+    setcover_p.add_argument("--elements", type=_positive_int, required=True)
+    setcover_p.add_argument("--subsets", type=_positive_int, required=True)
     for g in (random_p, setcover_p):
         g.add_argument("--seed", type=int, required=True)
         g.add_argument("--out")
@@ -322,7 +342,7 @@ def main(argv: list[str] | None = None) -> int:
     started = time.monotonic()
     try:
         if "rule" in args:
-            args.rule = Rule.from_string(args.rule)
+            args.rule = _rule(args.rule)
         result, text, code = args.func(args)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

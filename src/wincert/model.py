@@ -119,6 +119,9 @@ class CandidateSet:
         for lab in self.labels:
             if not lab or any(ch.isspace() for ch in lab) or lab.startswith("#"):
                 raise ValueError(f"invalid candidate label {lab!r}")
+            if lab in ("voters", "candidates"):
+                # A pair line starting with this label would read as a directive.
+                raise ValueError(f"candidate label {lab!r} is a reserved word of the file format")
 
     @property
     def m(self) -> int:
@@ -364,12 +367,30 @@ class Support:
 # layout is the interchange format.
 
 
+def _ascii_int(token: str, signed: bool = False) -> int | None:
+    """The value of a decimal token of ASCII digits (after one optional
+    leading minus sign when ``signed``), or None.  Other Unicode digits,
+    which ``str.isdigit`` accepts, are rejected, and so are tokens too
+    long for ``int`` to convert."""
+    digits = token[1:] if signed and token.startswith("-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    try:
+        return int(token)
+    except ValueError:
+        return None
+
+
 def parse_tournament(text: str | bytes) -> PartialTournament:
     """Parse the line-based tournament format; see the module source for
     the grammar.  All violations raise :class:`TournamentFormatError`
     with the offending line number."""
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = len((text[: exc.start].decode("utf-8") + "x").splitlines())
+            raise TournamentFormatError("file is not valid UTF-8", line) from None
     n: int | None = None
     cands: CandidateSet | None = None
     matrix: list[list[int]] | None = None
@@ -385,9 +406,9 @@ def parse_tournament(text: str | bytes) -> PartialTournament:
                 raise TournamentFormatError("'voters' must precede pair lines", lineno)
             if n is not None:
                 raise TournamentFormatError("duplicate 'voters' line", lineno)
-            if len(tokens) != 2 or not tokens[1].isdigit():
+            n = _ascii_int(tokens[1]) if len(tokens) == 2 else None
+            if n is None:
                 raise TournamentFormatError("expected 'voters <n>'", lineno)
-            n = int(tokens[1])
             if not 1 <= n <= MAX_VOTERS:
                 raise TournamentFormatError(f"voter count must be in 1..{MAX_VOTERS}", lineno)
         elif tokens[0] == "candidates":
@@ -412,9 +433,9 @@ def parse_tournament(text: str | bytes) -> PartialTournament:
                 raise TournamentFormatError(str(exc), lineno) from None
             if i == j:
                 raise TournamentFormatError(f"self-comparison {x!r} vs itself", lineno)
-            if not w_str.lstrip("-").isdigit():
+            w = _ascii_int(w_str, signed=True)
+            if w is None:
                 raise TournamentFormatError(f"weight {w_str!r} is not an integer", lineno)
-            w = int(w_str)
             n_eff = 1 if n is None else n
             if w < 0 or w > n_eff:
                 raise TournamentFormatError(f"weight {w} outside 0..{n_eff}", lineno)

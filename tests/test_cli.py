@@ -4,6 +4,7 @@ import json
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 from wincert.cli import main
 
@@ -67,6 +68,48 @@ def test_winners_rule_voter_mismatch(capsys):
     code, _, err = run(capsys, "winners", "--rule", "tc", W5A)
     assert code == 2
     assert "1-weighted" in err
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"candidates a b\n\xffa b 1\n",
+        "voters \u00b2\ncandidates a b\nb a 1\n".encode(),
+        b"candidates a b\na b --1\n",
+        "candidates a b\na b \u0661\n".encode(),
+    ],
+)
+def test_hostile_file_exits_2(tmp_path, capsys, content):
+    f = tmp_path / "hostile.trn"
+    f.write_bytes(content)
+    code, out, err = run(capsys, "winners", "--rule", "mm", str(f))
+    assert code == 2
+    assert err.startswith(f"error: {f}: line ") and not out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sms", "--rule", "xyz", "--winner", "a", U4],
+        ["winners", "--rule", "xyz", "--json", U4],
+        ["generate", "random", "--candidates", "0", "--seed", "1"],
+        ["generate", "random", "--candidates", "3", "--voters", "0", "--seed", "1"],
+        ["generate", "setcover", "--elements", "1", "--subsets", "3", "--seed", "1"],
+        ["generate", "setcover", "--elements", "3", "--subsets", "1", "--seed", "1"],
+        ["sms", "--rule", "wuc", "--winner", "a", "--budget", "-1", W5B],
+        ["explain", "--rule", "wuc", "--winner", "a", "--budget", "0", W5B],
+        ["oracle", "--rule", "uc", "--winner", "a", "--guard", "-5", U4],
+    ],
+)
+def test_bad_arguments_exit_2(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the value itself
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert any(line.startswith("error:") or ": error: " in line for line in captured.err.splitlines())
+    assert "Traceback" not in captured.err and not captured.out
 
 
 def test_winners_json_envelope(capsys):

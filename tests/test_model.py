@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wincert.model import (
+    MAX_VOTERS,
+    CandidateSet,
     GuardExceededError,
     PartialTournament,
     TournamentFormatError,
@@ -58,6 +60,15 @@ def test_parse_fixture_is_complete(u4):
         ("candidates a b\nvoters 2\na b 1\n", None, None),  # voters after candidates is fine
         ("a b 1\n", "before 'candidates'", 1),
         ("candidates a b\nvoters 2\nvoters 2\n", "duplicate 'voters'", 3),
+        (b"candidates a b\n\xffa b 1\n", "not valid UTF-8", 2),
+        (b"voters 1\r\ncandidates a b\r\na b 1\r\n\xc3", "not valid UTF-8", 4),
+        ("voters \u00b2\ncandidates a b\n", "expected 'voters <n>'", 1),
+        ("voters " + "9" * 5000 + "\ncandidates a b\n", "expected 'voters <n>'", 1),
+        ("candidates a b\na b --1\n", "not an integer", 2),
+        ("candidates a b\na b \u0661\n", "not an integer", 2),
+        ("candidates a b\na b -1\n", "outside", 2),
+        ("candidates a voters\n", "reserved word", 1),
+        ("candidates candidates\n", "reserved word", 1),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, fragment, line):
@@ -81,6 +92,59 @@ def test_roundtrip_parse_serialize(seed, m, n):
     from wincert.oracle import random_partial_tournament
 
     g = random_partial_tournament(m, n, seed)
+    assert parse_tournament(serialize_tournament(g)) == g
+
+
+def _valid_label(label: str) -> bool:
+    try:
+        CandidateSet((label,))
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def partial_tournaments(draw):
+    """Arbitrary valid partial tournaments: any labels the model accepts,
+    including the format's keywords when it does, and any voter count."""
+    label = st.one_of(st.sampled_from(["voters", "candidates", "#a", "a#"]), st.text(min_size=1, max_size=6))
+    labels = draw(st.lists(label.filter(_valid_label), min_size=1, max_size=5, unique=True))
+    n = draw(st.one_of(st.integers(1, 4), st.integers(1, MAX_VOTERS)))
+    m = len(labels)
+    matrix = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            matrix[i][j] = draw(st.integers(0, n))
+            matrix[j][i] = draw(st.integers(0, n - matrix[i][j]))
+    return PartialTournament(CandidateSet(tuple(labels)), n, tuple(map(tuple, matrix)))
+
+
+@given(partial_tournaments())
+@settings(max_examples=200, deadline=None)
+def test_roundtrip_arbitrary_labels_and_weights(g):
+    text = serialize_tournament(g)
+    assert parse_tournament(text) == g
+    assert parse_tournament(text.encode("utf-8")) == g
+
+
+NEAR_MISS_TOKENS = [
+    b"voters", b"candidates", b"a", b"b", b"c", b"0", b"1", b"2", b"-1", b"--1", b"9" * 12,
+    "\u00b2".encode(), "\u0661".encode(), b"\xff", b"\xc3", b"#", b" ", b"\t", b"\n", b"\r\n",
+]
+
+
+@given(
+    st.one_of(
+        st.binary(max_size=120),
+        st.lists(st.sampled_from(NEAR_MISS_TOKENS), max_size=40).map(b"".join),
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_parse_raises_only_format_errors(data):
+    try:
+        g = parse_tournament(data)
+    except TournamentFormatError:
+        return
     assert parse_tournament(serialize_tournament(g)) == g
 
 

@@ -300,6 +300,29 @@ def test_tree_preferred_among_equal_optima(w5a):
     assert max(in_deg) <= 1
 
 
+def test_tree_pass_beats_equal_size_non_tree():
+    # d's smallest supports (size 30) include a tree and a support in
+    # which b has two incoming edges; only the tree-only first search
+    # pass makes the solver return the tree.
+    t = random_tournament(10, 7, 94)
+    d = t.candidates.index("d")
+    res = compute_sms(t, d, Rule.WUC)
+    assert res.optimal and res.size == 30
+    labels = t.candidates.labels
+    assert {(labels[i], labels[j]): w for (i, j), w in pairs_of(res).items()} == {
+        ("d", "g"): 4, ("d", "h"): 7, ("d", "i"): 4, ("g", "a"): 4, ("g", "j"): 4,
+        ("h", "b"): 1, ("h", "e"): 1, ("h", "f"): 1, ("i", "c"): 4,
+    }
+    non_tree = PartialTournament.from_pairs(labels, 7, {
+        ("b", "a"): 5, ("b", "c"): 5, ("b", "j"): 5, ("d", "b"): 3, ("d", "h"): 7,
+        ("h", "b"): 1, ("h", "e"): 1, ("h", "f"): 1, ("h", "g"): 1, ("h", "i"): 1,
+    })
+    assert non_tree.support_size() == 30
+    assert sum(1 for _, j, _ in non_tree.pairs() if labels[j] == "b") == 2
+    claim = Support(base=t, partial=non_tree, rule=Rule.WUC, winner=d)
+    assert verify_support(t, claim).kind == "valid-MS"
+
+
 def test_wuc_budget_exhaustion_returns_best_found(w5b):
     res = sms_wuc_exact(w5b, 0, budget=2)
     assert not res.optimal
