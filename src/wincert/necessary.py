@@ -10,6 +10,7 @@ are tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from . import solutions
 from .model import DEFAULT_GUARD, PartialTournament, Rule, enumerate_completions
@@ -110,8 +111,8 @@ def bfs_tree(
         du = depth[u] + 1
         if max_depth is not None and du > max_depth:
             continue
-        for v, wgt in enumerate(weights[u]):
-            if wgt and depth[v] < 0:
+        for v in compress(range(m), weights[u]):
+            if depth[v] < 0:
                 depth[v] = du
                 parent[v] = u
                 queue.append(v)
