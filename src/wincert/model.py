@@ -389,6 +389,7 @@ def parse_tournament(text: str | bytes) -> PartialTournament:
         try:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
+            # Lines before the bad byte, plus the (possibly empty) line it starts.
             line = len((text[: exc.start].decode("utf-8") + "x").splitlines())
             raise TournamentFormatError("file is not valid UTF-8", line) from None
     n: int | None = None

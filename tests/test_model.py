@@ -63,7 +63,10 @@ def test_parse_fixture_is_complete(u4):
         (b"candidates a b\n\xffa b 1\n", "not valid UTF-8", 2),
         (b"voters 1\r\ncandidates a b\r\na b 1\r\n\xc3", "not valid UTF-8", 4),
         ("voters \u00b2\ncandidates a b\n", "expected 'voters <n>'", 1),
-        ("voters " + "9" * 5000 + "\ncandidates a b\n", "expected 'voters <n>'", 1),
+        pytest.param(
+            "voters " + "9" * 5000 + "\ncandidates a b\n", "expected 'voters <n>'", 1,
+            id="voters-5000-digits",
+        ),
         ("candidates a b\na b --1\n", "not an integer", 2),
         ("candidates a b\na b \u0661\n", "not an integer", 2),
         ("candidates a b\na b -1\n", "outside", 2),
