@@ -9,6 +9,7 @@ are tested against.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from itertools import compress
 
@@ -90,6 +91,119 @@ def failing_opponents(g: PartialTournament, w: int, rule: Rule) -> tuple[int, ..
     if rule is Rule.MM:
         return _failing_mm(g, w)
     return tuple(mg.opponent for mg in score_margins(g, w, rule) if mg.delta < 0)
+
+
+def first_removable_unit(g: PartialTournament, w: int, rule: Rule) -> tuple[int, int] | None:
+    """The first positive pair (i, j) of g, in canonical order, such that
+    w stays a necessary winner when one unit is removed from it; None
+    when no such pair exists, i.e. g is a minimal support.
+
+    Precondition: w is a necessary winner of g.  The aggregates the
+    rule's characterization reads are computed once, and each pair is
+    then decided by re-checking only the clauses its unit appears in.  A
+    unit on a pair into w appears in none, so it is always removable.
+    """
+    if g.m == 1:
+        return None
+    if rule is Rule.MM:
+        keeps = _mm_keeps(g, w)
+    elif rule.spec.kind == "score":
+        keeps = _score_keeps(g, w, rule)
+    elif rule.spec.kind == "coverage" or rule.spec.depth == 2:
+        # At n=1 the uncovered set's depth-2 reach is the wuc clause test.
+        keeps = _clause_keeps(g, w)
+    else:
+        keeps = _reach_keeps(g, w)
+    for i, j, _ in g.pairs():
+        if j == w or keeps(i, j):
+            return i, j
+    return None
+
+
+def _score_keeps(g: PartialTournament, w: int, rule: Rule):
+    # A unit on (i, j) raises j's best case by one; on (w, j) it also
+    # lowers w's guaranteed score, and with it every margin, by one.
+    margins = {mg.opponent: mg.delta for mg in score_margins(g, w, rule)}
+    tightest = min(margins.values())
+
+    def keeps(i: int, j: int) -> bool:
+        drop = i == w
+        return margins[j] > drop and tightest >= drop
+
+    return keeps
+
+
+def _mm_keeps(g: PartialTournament, w: int):
+    m, n = g.m, g.n
+    row_w = g.weights[w]
+    floor = min(row_w[c] for c in range(m) if c != w)
+    # Per column: its top value and the top of the rest after one top
+    # entry is taken out (equal to the top when the top is tied).  The
+    # zero diagonal does not disturb either, as weights are non-negative.
+    top, runner_up = [0] * m, [0] * m
+    for c, column in enumerate(zip(*g.weights)):
+        top[c], runner_up[c] = heapq.nlargest(2, column)
+    weakest = min(top[c] for c in range(m) if c != w)
+
+    def keeps(i: int, j: int) -> bool:
+        weight = g.weights[i][j]
+        best_j = max(top[j] - 1, runner_up[j]) if weight == top[j] else top[j]
+        level = min(floor, weight - 1) if i == w else floor
+        return level + best_j >= n and level + weakest >= n
+
+    return keeps
+
+
+def _clause_keeps(g: PartialTournament, w: int):
+    m, n = g.m, g.n
+    weights = g.weights
+    row_w = weights[w]
+    majority = (n + 2) // 2
+    # clauses[c]: opponent c's surviving clauses, direct plus one per
+    # intermediate z with mu(w, z) + mu(z, c) >= n + 1.
+    clauses = [int(row_w[c] >= majority) for c in range(m)]
+    for z in range(m):
+        if z != w and row_w[z]:
+            need = n + 1 - row_w[z]
+            for c in compress(range(m), weights[z]):
+                if weights[z][c] >= need:
+                    clauses[c] += 1
+
+    def keeps(i: int, j: int) -> bool:
+        if i != w:
+            # Only j's clause through i reads this unit.
+            return clauses[j] > 1 or row_w[i] + weights[i][j] != n + 1
+        # (w, j) carries j's direct clause and every clause through j.
+        if clauses[j] == 1 and row_w[j] == majority:
+            return False
+        need = n + 1 - row_w[j]
+        row_j = weights[j]
+        return not any(
+            clauses[c] == 1 and row_j[c] == need for c in range(m) if c != w
+        )
+
+    return keeps
+
+
+def _reach_keeps(g: PartialTournament, w: int):
+    m = g.m
+    weights = g.weights
+    no_row = (0,) * m
+    # backers[j]: in-neighbours of j that w reaches without passing j.
+    backers: dict[int, list[int]] = {}
+
+    def keeps(i: int, j: int) -> bool:
+        # Everything stays reachable iff j does, i.e. iff j keeps an
+        # in-neighbour other than i that w reaches around j.
+        if j not in backers:
+            column = [k for k in range(m) if weights[k][j]]
+            if len(column) > 1:
+                depth = bfs_tree(weights[:j] + (no_row,) + weights[j + 1 :], w)[1]
+                column = [k for k in column if depth[k] >= 0]
+            backers[j] = column
+        return any(k != i for k in backers[j])
+
+    return keeps
 
 
 def bfs_tree(

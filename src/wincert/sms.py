@@ -549,6 +549,21 @@ def verify_support(t: PartialTournament, claim: Support) -> SupportVerdict:
     partial, and (b) removing any single unit must break that.  Removal
     covers all strict sub-tournaments because necessity is monotone
     under extension.
+
+    Clause (b) costs about O(m²) (see
+    :func:`wincert.necessary.first_removable_unit`): instead of
+    re-running the necessity check once per unit, it re-checks only what
+    that unit takes part in.  A unit on a pair into the winner takes part
+    in nothing.  Copeland and Borda re-check the margin of the pair's
+    target, and every margin when the unit is the winner's own.  Maximin
+    re-checks the winner's floor against the pair's column maximum and
+    the weakest column.  The weighted uncovered set, and the uncovered
+    set as its n=1 case, re-check the clauses through the pair: the
+    target's, or for a winner's edge (w, x), x's direct clause and every
+    clause through x.  The top cycle re-checks only that the pair's
+    target keeps an in-neighbour reachable around it.  Pairs are decided
+    in canonical order and the first removable one is the witness, so it
+    is the pair a unit-by-unit re-run would report.
     """
     if claim.base.candidates != t.candidates or claim.base.n != t.n:
         raise ValueError("claim was built against a different tournament frame")
@@ -558,13 +573,9 @@ def verify_support(t: PartialTournament, claim: Support) -> SupportVerdict:
     failing = necessary.failing_opponents(g, w, rule)
     if failing:
         return SupportVerdict("not-necessary", (labels[failing[0]],))
-    matrix = [list(row) for row in g.weights]
-    for i, j, _ in g.pairs():
-        matrix[i][j] -= 1
-        smaller = g.replace_weights(matrix)
-        matrix[i][j] += 1
-        if necessary.is_necessary_winner(smaller, w, rule):
-            return SupportVerdict("not-minimal", (labels[i], labels[j]))
+    unit = necessary.first_removable_unit(g, w, rule)
+    if unit is not None:
+        return SupportVerdict("not-minimal", (labels[unit[0]], labels[unit[1]]))
     return SupportVerdict("valid-MS")
 
 

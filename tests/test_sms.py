@@ -1,11 +1,20 @@
 """SMS algorithms: fixtures, oracle equality, structure, verification."""
 
+import random
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wincert.model import PartialTournament, Rule, Support, WeightedTournament
-from wincert.oracle import enumerate_minimal_supports, oracle_sms_size, random_tournament
+from wincert.necessary import is_necessary_winner, is_necessary_winner_bruteforce
+from wincert.oracle import (
+    _iter_subweightings,
+    enumerate_minimal_supports,
+    oracle_sms_size,
+    random_tournament,
+)
 from wincert.sms import (
     NotAWinnerError,
     SizeFormulaInput,
@@ -17,6 +26,7 @@ from wincert.sms import (
     sms_tc,
     sms_uc,
     sms_wuc_exact,
+    SupportVerdict,
     verify_support,
 )
 from wincert.solutions import winners
@@ -428,3 +438,200 @@ def test_all_algorithm_outputs_verify(u4, u4c, w5a, w5b):
                 cases.append((t, compute_sms(t, w, rule)))
     for t, res in cases:
         assert verify_support(t, res.support).kind == "valid-MS"
+
+
+# ---------------------------------------------------------------------------
+# verify_support against a full necessity re-check per removed unit
+# ---------------------------------------------------------------------------
+
+
+def reference_verdict(claim, nw):
+    """verify_support's verdict kind and not-minimal witness, found by
+    rebuilding the matrix and re-running ``nw`` for every unit removal."""
+    g, w, rule = claim.partial, claim.winner, claim.rule
+    labels = g.candidates.labels
+    if not nw(g, w, rule):
+        return "not-necessary", None
+    matrix = [list(row) for row in g.weights]
+    for i, j, _ in g.pairs():
+        matrix[i][j] -= 1
+        smaller = g.replace_weights(matrix)
+        matrix[i][j] += 1
+        if nw(smaller, w, rule):
+            return "not-minimal", (labels[i], labels[j])
+    return "valid-MS", None
+
+
+def verdict_of(t, claim):
+    verdict = verify_support(t, claim)
+    return verdict.kind, verdict.witness if verdict.kind == "not-minimal" else None
+
+
+def memoized_bruteforce():
+    seen = {}
+
+    def nw(g, w, rule):
+        key = (g.weights, w, rule)
+        if key not in seen:
+            seen[key] = is_necessary_winner_bruteforce(g, w, rule)
+        return seen[key]
+
+    return nw
+
+
+@pytest.mark.parametrize(
+    "m, n, rules, seeds",
+    [
+        (3, 1, (Rule.TC, Rule.UC, Rule.COP), range(4)),
+        (4, 1, (Rule.TC, Rule.UC, Rule.COP), range(4)),
+        (3, 2, (Rule.BORDA, Rule.MM, Rule.WUC), range(4)),
+        (3, 3, (Rule.BORDA, Rule.MM, Rule.WUC), range(4)),
+        (4, 2, (Rule.BORDA, Rule.MM, Rule.WUC), range(1)),
+    ],
+)
+def test_verify_matches_bruteforce_on_every_subweighting(m, n, rules, seeds):
+    # Every sub-weighting of t, as a claim for every winner: the verdict
+    # kind and the not-minimal witness equal those of a unit-by-unit
+    # re-check against completion enumeration.
+    nw = memoized_bruteforce()
+    for seed in seeds:
+        t = random_tournament(m, n, seed)
+        for rule in rules:
+            for w in winners(rule, t).winners:
+                for matrix in _iter_subweightings(t, 10**5):
+                    claim = Support(base=t, partial=t.replace_weights(matrix), rule=rule, winner=w)
+                    assert verdict_of(t, claim) == reference_verdict(claim, nw), (
+                        t.weights, rule, w, matrix
+                    )
+
+
+def random_claims(seed):
+    """Seeded claims at m <= 12: supports as computed, padded or cut by a
+    few units, the whole tournament minus a few units, and arbitrary
+    sub-weightings; for a winner, or now and then for any candidate."""
+    rng = random.Random(seed)
+    rule = rng.choice(list(Rule))
+    m = rng.randint(2, 12)
+    n = 1 if rule.spec.unit_weights else rng.choice((2, 3, 5, 10**6))
+    t = random_tournament(m, n, rng.randrange(2**30))
+    members = winners(rule, t).winners
+    w = rng.choice(members) if members and rng.random() < 0.9 else rng.randrange(m)
+    sms_matrix = None
+    if w in members:
+        sms_matrix = compute_sms(t, w, rule, budget=10**4).support.partial.weights
+    for base in (sms_matrix, t.weights, None):
+        if base is None:
+            base = [[rng.randint(0, x) for x in row] for row in t.weights]
+        matrix = [list(row) for row in base]
+        for _ in range(rng.randint(0, 3)):
+            i, j = rng.randrange(m), rng.randrange(m)
+            if rng.random() < 0.7 and matrix[i][j] < t.weights[i][j]:
+                matrix[i][j] += 1
+            elif matrix[i][j] > 0:
+                matrix[i][j] -= 1
+        yield Support(base=t, partial=t.replace_weights(matrix), rule=rule, winner=w)
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_verify_matches_rebuild_loop_on_random_claims(block):
+    for seed in range(block * 100, (block + 1) * 100):
+        for claim in random_claims(seed):
+            assert verdict_of(claim.base, claim) == reference_verdict(claim, is_necessary_winner), (
+                seed, claim.rule, claim.winner, claim.partial.weights
+            )
+
+
+@pytest.mark.parametrize("rule", list(Rule))
+def test_unit_into_winner_is_removable(rule):
+    # Adding a unit on (x, w) to a valid support makes exactly that unit
+    # removable: no clause of any rule reads a pair into the winner.
+    t = random_tournament(6, 1 if rule.spec.unit_weights else 3, 11)
+    for w in winners(rule, t).winners:
+        res = compute_sms(t, w, rule)
+        matrix = [list(row) for row in res.support.partial.weights]
+        x = next(x for x in range(t.m) if t.mu(x, w) > matrix[x][w])
+        matrix[x][w] += 1
+        claim = Support(base=t, partial=t.replace_weights(matrix), rule=rule, winner=w)
+        labels = t.candidates.labels
+        assert verify_support(t, claim) == SupportVerdict("not-minimal", (labels[x], labels[w]))
+
+
+# a -> b -> c -> d -> b, and a -> d: b can be reached around the edge
+# (a, b) only through d, which sits in b's own subtree in the first claim
+# and hangs off a in the second.
+TC_LOOP = WeightedTournament.from_rows(
+    "abcd", 1, [[0, 1, 0, 1], [0, 0, 1, 0], [1, 0, 0, 1], [0, 1, 0, 0]]
+)
+
+
+@pytest.mark.parametrize(
+    "edges, witness",
+    [
+        ({("a", "b"): 1, ("b", "c"): 1, ("c", "d"): 1}, None),
+        # b's second in-edge comes from its own subtree: (a, b) stays needed
+        ({("a", "b"): 1, ("b", "c"): 1, ("c", "d"): 1, ("d", "b"): 1}, ("d", "b")),
+        # b's second in-edge comes from outside its subtree: (a, b) can go
+        ({("a", "b"): 1, ("a", "d"): 1, ("b", "c"): 1, ("d", "b"): 1}, ("a", "b")),
+    ],
+)
+def test_verify_tc_second_in_edge(edges, witness):
+    claim = Support(TC_LOOP, PartialTournament.from_pairs("abcd", 1, edges), Rule.TC, 0)
+    expected = SupportVerdict("not-minimal", witness) if witness else SupportVerdict("valid-MS")
+    assert verify_support(TC_LOOP, claim) == expected
+    assert verdict_of(TC_LOOP, claim) == reference_verdict(claim, is_necessary_winner_bruteforce)
+
+
+# Every candidate has maximin score 2 at n=5; c is beaten 3-2 by both b
+# and d, so c's column maximum can be tied in a claim.
+MM_TIE = WeightedTournament.from_rows(
+    "abcd", 5, [[0, 3, 2, 3], [2, 0, 3, 3], [3, 2, 0, 2], [2, 2, 3, 0]]
+)
+
+
+@pytest.mark.parametrize(
+    "extra, witness",
+    [
+        (0, None),
+        # column c's maximum tied at 3: either copy can lose a unit
+        (3, ("b", "c")),
+        # d's 2 is below the maximum, so it is the removable unit
+        (2, ("d", "c")),
+    ],
+)
+def test_verify_mm_tied_column_maximum(extra, witness):
+    # without the extra unit, the claim is a's maximin SMS
+    edges = {("a", "b"): 3, ("a", "c"): 2, ("a", "d"): 3, ("b", "c"): 3, ("d", "c"): extra}
+    claim = Support(MM_TIE, PartialTournament.from_pairs("abcd", 5, edges), Rule.MM, 0)
+    expected = SupportVerdict("not-minimal", witness) if witness else SupportVerdict("valid-MS")
+    assert verify_support(MM_TIE, claim) == expected
+    assert verdict_of(MM_TIE, claim) == reference_verdict(claim, is_necessary_winner_bruteforce)
+
+
+# w sweeps x 2-0 (x's direct clause at the majority, 2) and x sweeps y
+# 2-0: y's clause through x is w->x plus x->y against n + 1 = 3.
+WUC_CLAUSE = WeightedTournament.from_rows("wxy", 2, [[0, 2, 1], [0, 0, 2], [1, 0, 0]])
+
+
+@pytest.mark.parametrize("xy, witness", [(1, None), (2, ("x", "y"))])
+def test_verify_wuc_clause_at_and_above_threshold(xy, witness):
+    # at n + 1 the clause loses to any removed unit; one above, (x, y) can spare one
+    claim = Support(
+        WUC_CLAUSE,
+        PartialTournament.from_pairs("wxy", 2, {("w", "x"): 2, ("x", "y"): xy}),
+        Rule.WUC,
+        0,
+    )
+    expected = SupportVerdict("not-minimal", witness) if witness else SupportVerdict("valid-MS")
+    assert verify_support(WUC_CLAUSE, claim) == expected
+    assert verdict_of(WUC_CLAUSE, claim) == reference_verdict(claim, is_necessary_winner_bruteforce)
+
+
+def test_verify_borda_m200_under_two_seconds():
+    t = random_tournament(200, 10**6, 3)
+    w = winners(Rule.BORDA, t).winners[0]
+    support = sms_borda(t, w).support
+    started = time.perf_counter()
+    verdict = verify_support(t, support)
+    elapsed = time.perf_counter() - started
+    assert verdict.kind == "valid-MS"
+    assert elapsed < 2.0, f"verify took {elapsed:.2f} s"
