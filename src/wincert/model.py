@@ -104,6 +104,13 @@ RULE_SPECS = {
 }
 
 
+def check_voters(rule: Rule, n: int) -> None:
+    """Reject a voter count the rule is not defined on: TC, UC and
+    Copeland need a 1-weighted tournament."""
+    if rule.spec.unit_weights and n != 1:
+        raise ValueError(f"rule {rule.value} is defined on 1-weighted tournaments, got n={n}")
+
+
 @dataclass(frozen=True)
 class CandidateSet:
     """Ordered candidate labels.  The given order is the canonical

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import compress
 
 from . import solutions
-from .model import DEFAULT_GUARD, PartialTournament, Rule, enumerate_completions
+from .model import DEFAULT_GUARD, PartialTournament, Rule, check_voters, enumerate_completions
 
 
 @dataclass(frozen=True)
@@ -43,8 +43,7 @@ def score_bounds(g: PartialTournament, c: int, rule: Rule = Rule.BORDA) -> Score
     """
     if rule not in (Rule.BORDA, Rule.COP):
         raise ValueError(f"score bounds are defined for borda/cop, not {rule.value}")
-    if rule is Rule.COP and g.n != 1:
-        raise ValueError("cop score bounds need a 1-weighted tournament")
+    check_voters(rule, g.n)
     out_mass = sum(g.weights[c])
     in_mass = sum(g.weights[x][c] for x in range(g.m))
     return ScoreBounds(c, out_mass, g.n * (g.m - 1) - in_mass)
@@ -79,8 +78,7 @@ def failing_opponents(g: PartialTournament, w: int, rule: Rule) -> tuple[int, ..
     if not 0 <= w < g.m:
         raise ValueError(f"candidate index {w} out of range")
     spec = rule.spec
-    if spec.unit_weights and g.n != 1:
-        raise ValueError(f"rule {rule.value} needs a 1-weighted tournament, got n={g.n}")
+    check_voters(rule, g.n)
     if g.m == 1:
         return ()
     if spec.kind == "path":

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import necessary, solutions
-from .model import PartialTournament, Rule, Support, WeightedTournament
+from .model import PartialTournament, Rule, Support, WeightedTournament, check_voters
 
 DEFAULT_WUC_BUDGET = 10**6
 
@@ -67,8 +67,7 @@ def _result(t, w, rule, matrix, optimal=True, lower_bound=None) -> SmsResult:
 
 def _complete_for(t: WeightedTournament, rule: Rule) -> WeightedTournament:
     t = t.as_complete()
-    if rule.spec.unit_weights and t.n != 1:
-        raise ValueError(f"{rule.value} supports need a 1-weighted tournament")
+    check_voters(rule, t.n)
     return t
 
 

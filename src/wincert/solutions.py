@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import IncompleteTournamentError, Rule, WeightedTournament
+from .model import IncompleteTournamentError, Rule, WeightedTournament, check_voters
 
 
 @dataclass(frozen=True)
@@ -33,11 +33,6 @@ def _require_complete(t) -> None:
         raise IncompleteTournamentError("winner computation needs a complete tournament")
 
 
-def _require_unit(t, rule: Rule) -> None:
-    if t.n != 1:
-        raise ValueError(f"rule {rule.value} is defined on 1-weighted tournaments, got n={t.n}")
-
-
 def beat_masks(t: WeightedTournament) -> list[int]:
     """Bitmask adjacency rows for a 1-weighted tournament: bit j of row i
     is set iff i beats j."""
@@ -56,7 +51,7 @@ def top_cycle(t: WeightedTournament) -> WinnerSet:
     """The minimal dominant set: candidates reaching every other candidate
     via a directed path (the source strongly-connected component)."""
     _require_complete(t)
-    _require_unit(t, Rule.TC)
+    check_voters(Rule.TC, t.n)
     m = t.m
     if m == 1:
         return WinnerSet(Rule.TC, (0,))
@@ -78,7 +73,7 @@ def top_cycle(t: WeightedTournament) -> WinnerSet:
 def uncovered_set(t: WeightedTournament) -> WinnerSet:
     """Candidates reaching every other candidate in at most two steps."""
     _require_complete(t)
-    _require_unit(t, Rule.UC)
+    check_voters(Rule.UC, t.n)
     m = t.m
     masks = beat_masks(t)
     winners = [i for i in range(m) if _two_step_mask(masks, i) == (1 << m) - 1]
@@ -98,7 +93,7 @@ def _two_step_mask(masks: list[int], i: int) -> int:
 def copeland(t: WeightedTournament) -> tuple[ScoreTable, WinnerSet]:
     """Copeland scores (out-degrees) and their argmax set."""
     _require_complete(t)
-    _require_unit(t, Rule.COP)
+    check_voters(Rule.COP, t.n)
     scores = tuple(sum(1 for x in row if x) for row in t.weights)
     return ScoreTable(Rule.COP, scores), _argmax_set(Rule.COP, scores)
 
