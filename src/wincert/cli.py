@@ -30,6 +30,7 @@ from .model import (
     SupportCompatibilityError,
     TournamentFormatError,
     WeightedTournament,
+    check_voters,
     parse_tournament,
     serialize_tournament,
 )
@@ -221,6 +222,10 @@ def _cmd_verify(args) -> tuple[dict, str, int]:
 def _cmd_oracle(args) -> tuple[dict, str, int]:
     t = _complete(_load_tournament(args.file))
     w = _winner_index(t, args.winner)
+    try:
+        check_voters(args.rule, t.n)
+    except ValueError as exc:
+        raise _CliError(EXIT_INPUT, str(exc)) from exc
     if args.list:
         supports = list(oracle.enumerate_minimal_supports(t, w, args.rule, guard=args.guard))
         size = min((s.size() for s in supports), default=None)

@@ -71,6 +71,25 @@ def test_winners_rule_voter_mismatch(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["winners"],
+        ["sms", "--winner", "a"],
+        ["explain", "--winner", "a"],
+        ["verify", "--winner", "a", "--support", W5A],
+        ["oracle", "--winner", "a"],
+        ["oracle", "--winner", "a", "--list"],
+    ],
+)
+@pytest.mark.parametrize("rule", ["tc", "uc", "cop"])
+def test_rule_voter_mismatch_exits_2_with_one_message(capsys, argv, rule):
+    # a unit-weight rule on a 5-voter file is an input error, not a loser
+    code, out, err = run(capsys, *argv, "--rule", rule, W5A)
+    assert (code, out) == (2, "")
+    assert err == f"error: rule {rule} is defined on 1-weighted tournaments, got n=5\n"
+
+
+@pytest.mark.parametrize(
     "content",
     [
         b"candidates a b\n\xffa b 1\n",
