@@ -1,12 +1,19 @@
 """Command-line surface: outputs, exit codes, JSON envelope."""
 
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wincert.cli import main
+from wincert.model import serialize_tournament
+from wincert.oracle import random_partial_tournament
 
 FIXTURES = Path(__file__).parent / "fixtures"
 U4 = str(FIXTURES / "u4.trn")
@@ -359,6 +366,76 @@ def test_generate_setcover(capsys):
 def test_winners_scores_are_integers_in_json(capsys):
     code, envelope, _ = run_json(capsys, "winners", "--rule", "mm", W5A)
     assert all(isinstance(v, int) for v in envelope["result"]["scores"].values())
+
+
+# Exit codes main may return; 0 and the outcome codes 5-7 print a result,
+# the others an error line.
+RESULT_EXITS = {0, 5, 6, 7}
+ERROR_EXITS = {2, 3, 4, 8, 9}
+
+
+@st.composite
+def tournament_files(draw):
+    """A tournament file and a claimed support for it, as bytes: arbitrary
+    bytes, or the serialization of a small seeded (partial) tournament
+    with a few lines dropped, duplicated or overwritten.  The claim keeps
+    the header and a random subset of the pair lines."""
+    if draw(st.booleans()):
+        data = draw(st.binary(max_size=120))
+        return data, data
+    g = random_partial_tournament(
+        draw(st.integers(1, 5)),
+        draw(st.sampled_from((1, 2, 3, 5))),
+        draw(st.integers(0, 10**6)),
+        max_open_pairs=draw(st.sampled_from((0, 0, 2, None))),
+    )
+    lines = serialize_tournament(g).encode().splitlines()
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(("drop", "duplicate", "overwrite")))
+        if edit == "drop":
+            del lines[k]
+        elif edit == "duplicate":
+            lines.insert(k, lines[k])
+        else:
+            lines[k] = draw(st.binary(max_size=20))
+        if not lines:
+            lines = [b""]
+    keep = draw(st.lists(st.booleans(), min_size=len(lines), max_size=len(lines)))
+    claim = lines[:2] + [line for line, kept in zip(lines[2:], keep[2:]) if kept]
+    return b"\n".join(lines) + b"\n", b"\n".join(claim) + b"\n"
+
+
+@given(
+    files=tournament_files(),
+    command=st.sampled_from(("winners", "sms", "verify")),
+    rule=st.sampled_from(("tc", "uc", "cop", "borda", "mm", "wuc")),
+    as_json=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_cli_contract_holds_on_arbitrary_files(files, command, rule, as_json):
+    with tempfile.TemporaryDirectory() as tmp:
+        base, claim = Path(tmp, "t.trn"), Path(tmp, "claim.trn")
+        base.write_bytes(files[0])
+        claim.write_bytes(files[1])
+        argv = [command, "--rule", rule, str(base)]
+        if command != "winners":
+            argv += ["--winner", "a"]
+        if command == "sms":
+            argv += ["--budget", "1000"]
+        if command == "verify":
+            argv += ["--support", str(claim)]
+        if as_json:
+            argv.append("--json")
+        out, err = StringIO(), StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)  # an exception here is a traceback for the user
+    if code in ERROR_EXITS:
+        assert err.getvalue().startswith("error: ") and not out.getvalue()
+    else:
+        assert code in RESULT_EXITS and not err.getvalue()
+        if as_json:
+            jsonschema.validate(json.loads(out.getvalue()), SCHEMA)
 
 
 def test_sms_size_equals_oracle_size_across_corpus(tmp_path, capsys):
