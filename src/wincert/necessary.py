@@ -9,7 +9,6 @@ are tested against.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from itertools import compress
 
@@ -140,7 +139,7 @@ def _mm_keeps(g: PartialTournament, w: int):
     # zero diagonal does not disturb either, as weights are non-negative.
     top, runner_up = [0] * m, [0] * m
     for c, column in enumerate(zip(*g.weights)):
-        top[c], runner_up[c] = heapq.nlargest(2, column)
+        runner_up[c], top[c] = sorted(column)[-2:]
     weakest = min(top[c] for c in range(m) if c != w)
 
     def keeps(i: int, j: int) -> bool:

@@ -560,7 +560,9 @@ def verify_support(t: PartialTournament, claim: Support) -> SupportVerdict:
     set as its n=1 case, re-check the clauses through the pair: the
     target's, or for a winner's edge (w, x), x's direct clause and every
     clause through x.  The top cycle re-checks only that the pair's
-    target keeps an in-neighbour reachable around it.  Pairs are decided
+    target keeps an in-neighbour reachable around it, with one search
+    per target that has two or more in-edges (none for a tree claim, so
+    the bound holds for valid supports).  Pairs are decided
     in canonical order and the first removable one is the witness, so it
     is the pair a unit-by-unit re-run would report.
     """
