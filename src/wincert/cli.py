@@ -64,6 +64,14 @@ def _load_tournament(path: str) -> PartialTournament:
         raise _CliError(EXIT_INPUT, f"{path}: {exc}") from exc
 
 
+def _write_out(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _CliError(EXIT_INPUT, f"cannot write {path}: {exc}") from exc
+
+
 def _complete(t: PartialTournament) -> WeightedTournament:
     try:
         return t.as_complete()
@@ -172,8 +180,7 @@ def _cmd_sms(args) -> tuple[dict, str, int]:
     res = _compute_sms(args)
     serialized = serialize_tournament(res.support.partial)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(serialized)
+        _write_out(args.out, serialized)
     text = f"size {res.size}\nwin_count {res.win_count}\n{serialized}"
     if not res.optimal:
         text = (
@@ -260,8 +267,7 @@ def _cmd_generate(args) -> tuple[dict, str, int]:
         raise _CliError(EXIT_INPUT, str(exc)) from exc
     serialized = serialize_tournament(t)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(serialized)
+        _write_out(args.out, serialized)
     return _tournament_payload(t), serialized, EXIT_OK
 
 

@@ -243,8 +243,6 @@ class PartialTournament:
     def as_complete(self) -> "WeightedTournament":
         if isinstance(self, WeightedTournament):
             return self
-        if not self.is_complete():
-            raise IncompleteTournamentError("tournament is not complete: some pair sums fall short of n")
         return WeightedTournament(self.candidates, self.n, self.weights)
 
 
@@ -254,7 +252,7 @@ class WeightedTournament(PartialTournament):
     def __post_init__(self):
         super().__post_init__()
         if not self.is_complete():
-            raise IncompleteTournamentError("weighted tournament must be complete")
+            raise IncompleteTournamentError("tournament is not complete: some pair sums fall short of n")
 
     @classmethod
     def from_rows(cls, labels: Iterable[str], n: int, rows: Iterable[Iterable[int]]) -> "WeightedTournament":

@@ -2,13 +2,18 @@
 
 A candidate is a necessary winner when it belongs to the winner set of
 every completion.  Each rule admits a polynomial characterization built
-on the worst completion for the candidate; the brute-force check over
-all completions is kept as the independent oracle the characterizations
-are tested against.
+on the worst completion for the candidate, coded once per rule in
+:func:`characterize`: its aggregates (score margins, the maximin floor
+against the column tops, the uncovered-set clause counts, or the top
+cycle's reach) yield both the opponents that can beat the candidate and
+the per-unit re-check that decides whether a support is minimal.  The
+brute-force check over all completions is kept as the independent
+oracle the characterizations are tested against.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import compress
 
@@ -59,14 +64,17 @@ def score_margins(g: PartialTournament, w: int, rule: Rule = Rule.BORDA) -> tupl
     )
 
 
+Keeps = Callable[[int, int], bool]
+
+
 def is_necessary_winner(g: PartialTournament, w: int, rule: Rule) -> bool:
     """Rule-specific polynomial necessary-winner check.
 
-    Every branch encodes the worst completion for w: w's undetermined
-    comparisons are lost, each opponent's are won; for the path rules the
-    undetermined pairs are oriented to keep w's reach from growing.
-    These adversarial completions are jointly realizable per opponent,
-    which the brute-force equivalence tests confirm.
+    Every characterization encodes the worst completion for w: w's
+    undetermined comparisons are lost, each opponent's are won; for the
+    path rules the undetermined pairs are oriented to keep w's reach from
+    growing.  These adversarial completions are jointly realizable per
+    opponent, which the brute-force equivalence tests confirm.
     """
     return not failing_opponents(g, w, rule)
 
@@ -74,64 +82,57 @@ def is_necessary_winner(g: PartialTournament, w: int, rule: Rule) -> bool:
 def failing_opponents(g: PartialTournament, w: int, rule: Rule) -> tuple[int, ...]:
     """Opponents that can keep w out of the winner set in some completion
     (empty iff w is a necessary winner)."""
+    return characterize(g, w, rule)[0]
+
+
+def characterize(g: PartialTournament, w: int, rule: Rule) -> tuple[tuple[int, ...], Keeps]:
+    """The rule's necessary-winner characterization of w on g, with its
+    aggregates computed once.
+
+    Returns ``(failing, keeps)``.  ``failing`` lists, in canonical order,
+    the opponents that can keep w out of the winner set in some
+    completion.  When it is empty, ``keeps(i, j)`` tells, for a positive
+    pair with ``j != w``, whether w stays a necessary winner once one unit
+    is removed from (i, j); it re-checks only the clauses that unit takes
+    part in.  A unit on a pair into w takes part in none.
+
+    Copeland and Borda re-check the margin of the pair's target, and
+    every margin when the unit is w's own.  Maximin re-checks w's floor
+    against the pair's column maximum and the weakest column.  The
+    weighted uncovered set, and the uncovered set as its n=1 case,
+    re-check the clauses through the pair: the target's, or for w's edge
+    (w, x), x's direct clause and every clause through x.  The top cycle
+    re-checks that the pair's target keeps an in-neighbour reachable
+    around it, with one search per target that has two or more in-edges
+    (none for a tree support).
+    """
     if not 0 <= w < g.m:
         raise ValueError(f"candidate index {w} out of range")
-    spec = rule.spec
     check_voters(rule, g.n)
     if g.m == 1:
-        return ()
-    if spec.kind == "path":
-        depth = bfs_tree(g.weights, w, spec.depth)[1]
-        return tuple(c for c in range(g.m) if depth[c] < 0)
-    if spec.kind == "coverage":
-        return _failing_wuc(g, w)
-    if rule is Rule.MM:
-        return _failing_mm(g, w)
-    return tuple(mg.opponent for mg in score_margins(g, w, rule) if mg.delta < 0)
+        return (), lambda i, j: True  # there is no pair to take a unit from
+    return _CHARACTERIZATIONS[rule](g, w)
 
 
-def first_removable_unit(g: PartialTournament, w: int, rule: Rule) -> tuple[int, int] | None:
-    """The first positive pair (i, j) of g, in canonical order, such that
-    w stays a necessary winner when one unit is removed from it; None
-    when no such pair exists, i.e. g is a minimal support.
-
-    Precondition: w is a necessary winner of g.  The aggregates the
-    rule's characterization reads are computed once, and each pair is
-    then decided by re-checking only the clauses its unit appears in.  A
-    unit on a pair into w appears in none, so it is always removable.
-    """
-    if g.m == 1:
-        return None
-    if rule is Rule.MM:
-        keeps = _mm_keeps(g, w)
-    elif rule.spec.kind == "score":
-        keeps = _score_keeps(g, w, rule)
-    elif rule.spec.kind == "coverage" or rule.spec.depth == 2:
-        # At n=1 the uncovered set's depth-2 reach is the wuc clause test.
-        keeps = _clause_keeps(g, w)
-    else:
-        keeps = _reach_keeps(g, w)
-    for i, j, _ in g.pairs():
-        if j == w or keeps(i, j):
-            return i, j
-    return None
-
-
-def _score_keeps(g: PartialTournament, w: int, rule: Rule):
-    # A unit on (i, j) raises j's best case by one; on (w, j) it also
-    # lowers w's guaranteed score, and with it every margin, by one.
-    margins = {mg.opponent: mg.delta for mg in score_margins(g, w, rule)}
+def _score(g: PartialTournament, w: int) -> tuple[tuple[int, ...], Keeps]:
+    # Copeland at n=1 has Borda's bounds.  An opponent fails on a negative
+    # margin.  A unit on (i, j) raises j's best case by one; on (w, j) it
+    # also lowers w's guaranteed score, and with it every margin, by one.
+    margins = {mg.opponent: mg.delta for mg in score_margins(g, w)}
     tightest = min(margins.values())
 
     def keeps(i: int, j: int) -> bool:
         drop = i == w
         return margins[j] > drop and tightest >= drop
 
-    return keeps
+    return tuple(c for c, delta in margins.items() if delta < 0), keeps
 
 
-def _mm_keeps(g: PartialTournament, w: int):
+def _mm(g: PartialTournament, w: int) -> tuple[tuple[int, ...], Keeps]:
     m, n = g.m, g.n
+    # Worst case for w fixes its open comparisons as losses, so its
+    # guaranteed maximin score is its smallest confirmed out-weight, the
+    # floor; opponent c's best case is n minus its column's top value.
     row_w = g.weights[w]
     floor = min(row_w[c] for c in range(m) if c != w)
     # Per column: its top value and the top of the rest after one top
@@ -148,16 +149,17 @@ def _mm_keeps(g: PartialTournament, w: int):
         level = min(floor, weight - 1) if i == w else floor
         return level + best_j >= n and level + weakest >= n
 
-    return keeps
+    return tuple(c for c in range(m) if c != w and floor + top[c] < n), keeps
 
 
-def _clause_keeps(g: PartialTournament, w: int):
+def _clauses(g: PartialTournament, w: int) -> tuple[tuple[int, ...], Keeps]:
     m, n = g.m, g.n
     weights = g.weights
     row_w = weights[w]
-    majority = (n + 2) // 2
+    majority = (n + 2) // 2  # ceil((n + 1) / 2): a strict majority in every completion
     # clauses[c]: opponent c's surviving clauses, direct plus one per
-    # intermediate z with mu(w, z) + mu(z, c) >= n + 1.
+    # intermediate z with mu(w, z) + mu(z, c) >= n + 1; c fails with none.
+    # At n=1 these are the uncovered set's paths of length one and two.
     clauses = [int(row_w[c] >= majority) for c in range(m)]
     for z in range(m):
         if z != w and row_w[z]:
@@ -179,12 +181,13 @@ def _clause_keeps(g: PartialTournament, w: int):
             clauses[c] == 1 and row_j[c] == need for c in range(m) if c != w
         )
 
-    return keeps
+    return tuple(c for c in range(m) if c != w and not clauses[c]), keeps
 
 
-def _reach_keeps(g: PartialTournament, w: int):
+def _reach(g: PartialTournament, w: int) -> tuple[tuple[int, ...], Keeps]:
     m = g.m
     weights = g.weights
+    depth = bfs_tree(weights, w)[1]
     no_row = (0,) * m
     # backers[j]: in-neighbours of j that w reaches without passing j.
     backers: dict[int, list[int]] = {}
@@ -195,12 +198,22 @@ def _reach_keeps(g: PartialTournament, w: int):
         if j not in backers:
             column = [k for k in range(m) if weights[k][j]]
             if len(column) > 1:
-                depth = bfs_tree(weights[:j] + (no_row,) + weights[j + 1 :], w)[1]
-                column = [k for k in column if depth[k] >= 0]
+                around = bfs_tree(weights[:j] + (no_row,) + weights[j + 1 :], w)[1]
+                column = [k for k in column if around[k] >= 0]
             backers[j] = column
         return any(k != i for k in backers[j])
 
-    return keeps
+    return tuple(c for c in range(m) if depth[c] < 0), keeps
+
+
+_CHARACTERIZATIONS = {
+    Rule.TC: _reach,
+    Rule.UC: _clauses,
+    Rule.COP: _score,
+    Rule.BORDA: _score,
+    Rule.MM: _mm,
+    Rule.WUC: _clauses,
+}
 
 
 def bfs_tree(
@@ -228,39 +241,6 @@ def bfs_tree(
                 parent[v] = u
                 queue.append(v)
     return parent, depth
-
-
-def _failing_mm(g: PartialTournament, w: int) -> tuple[int, ...]:
-    m, n = g.m, g.n
-    weights = g.weights
-    # Worst case for w fixes its open comparisons as losses, so its
-    # guaranteed maximin score is the smallest confirmed out-weight.
-    w_floor = min(weights[w][c] for c in range(m) if c != w)
-    return tuple(
-        c
-        for c in range(m)
-        if c != w and w_floor < n - max(weights[x][c] for x in range(m) if x != c)
-    )
-
-
-def _failing_wuc(g: PartialTournament, w: int) -> tuple[int, ...]:
-    m, n = g.m, g.n
-    weights = g.weights
-    majority = (n + 2) // 2  # ceil((n + 1) / 2): a strict majority in every completion
-    failing = []
-    for c in range(m):
-        if c == w:
-            continue
-        if weights[w][c] >= majority:
-            continue
-        if any(
-            weights[w][z] + weights[z][c] >= n + 1
-            for z in range(m)
-            if z != w and z != c
-        ):
-            continue
-        failing.append(c)
-    return tuple(failing)
 
 
 def is_necessary_winner_bruteforce(

@@ -549,34 +549,25 @@ def verify_support(t: PartialTournament, claim: Support) -> SupportVerdict:
     covers all strict sub-tournaments because necessity is monotone
     under extension.
 
-    Clause (b) costs about O(m²) (see
-    :func:`wincert.necessary.first_removable_unit`): instead of
-    re-running the necessity check once per unit, it re-checks only what
-    that unit takes part in.  A unit on a pair into the winner takes part
-    in nothing.  Copeland and Borda re-check the margin of the pair's
-    target, and every margin when the unit is the winner's own.  Maximin
-    re-checks the winner's floor against the pair's column maximum and
-    the weakest column.  The weighted uncovered set, and the uncovered
-    set as its n=1 case, re-check the clauses through the pair: the
-    target's, or for a winner's edge (w, x), x's direct clause and every
-    clause through x.  The top cycle re-checks only that the pair's
-    target keeps an in-neighbour reachable around it, with one search
-    per target that has two or more in-edges (none for a tree claim, so
-    the bound holds for valid supports).  Pairs are decided
-    in canonical order and the first removable one is the witness, so it
-    is the pair a unit-by-unit re-run would report.
+    Both clauses read one pass of the rule's characterization
+    (:func:`wincert.necessary.characterize`), so its aggregates are
+    built once per call and the check costs about O(m²).  Clause (a)
+    names the first opponent that can beat the winner.  Clause (b)
+    re-checks each unit only against the clauses it takes part in;
+    pairs are decided in canonical order and the first removable one is
+    the witness, so it is the pair a unit-by-unit re-run would report.
     """
     if claim.base.candidates != t.candidates or claim.base.n != t.n:
         raise ValueError("claim was built against a different tournament frame")
     Support(base=t, partial=claim.partial, rule=claim.rule, winner=claim.winner)
-    g, w, rule = claim.partial, claim.winner, claim.rule
+    g, w = claim.partial, claim.winner
     labels = t.candidates.labels
-    failing = necessary.failing_opponents(g, w, rule)
+    failing, keeps = necessary.characterize(g, w, claim.rule)
     if failing:
         return SupportVerdict("not-necessary", (labels[failing[0]],))
-    unit = necessary.first_removable_unit(g, w, rule)
-    if unit is not None:
-        return SupportVerdict("not-minimal", (labels[unit[0]], labels[unit[1]]))
+    for i, j, _ in g.pairs():
+        if j == w or keeps(i, j):
+            return SupportVerdict("not-minimal", (labels[i], labels[j]))
     return SupportVerdict("valid-MS")
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import IncompleteTournamentError, Rule, WeightedTournament, check_voters
+from .model import Rule, WeightedTournament, check_voters
 
 
 @dataclass(frozen=True)
@@ -26,11 +26,6 @@ class WinnerSet:
 
     def labels(self, t: WeightedTournament) -> tuple[str, ...]:
         return tuple(t.candidates.labels[i] for i in self.winners)
-
-
-def _require_complete(t) -> None:
-    if not t.is_complete():
-        raise IncompleteTournamentError("winner computation needs a complete tournament")
 
 
 def beat_masks(t: WeightedTournament) -> list[int]:
@@ -50,7 +45,7 @@ def beat_masks(t: WeightedTournament) -> list[int]:
 def top_cycle(t: WeightedTournament) -> WinnerSet:
     """The minimal dominant set: candidates reaching every other candidate
     via a directed path (the source strongly-connected component)."""
-    _require_complete(t)
+    t = t.as_complete()
     check_voters(Rule.TC, t.n)
     m = t.m
     if m == 1:
@@ -72,7 +67,7 @@ def top_cycle(t: WeightedTournament) -> WinnerSet:
 
 def uncovered_set(t: WeightedTournament) -> WinnerSet:
     """Candidates reaching every other candidate in at most two steps."""
-    _require_complete(t)
+    t = t.as_complete()
     check_voters(Rule.UC, t.n)
     m = t.m
     masks = beat_masks(t)
@@ -92,7 +87,7 @@ def _two_step_mask(masks: list[int], i: int) -> int:
 
 def copeland(t: WeightedTournament) -> tuple[ScoreTable, WinnerSet]:
     """Copeland scores (out-degrees) and their argmax set."""
-    _require_complete(t)
+    t = t.as_complete()
     check_voters(Rule.COP, t.n)
     scores = tuple(sum(1 for x in row if x) for row in t.weights)
     return ScoreTable(Rule.COP, scores), _argmax_set(Rule.COP, scores)
@@ -100,7 +95,7 @@ def copeland(t: WeightedTournament) -> tuple[ScoreTable, WinnerSet]:
 
 def borda(t: WeightedTournament) -> tuple[ScoreTable, WinnerSet]:
     """Borda scores (row sums of the weight matrix) and their argmax set."""
-    _require_complete(t)
+    t = t.as_complete()
     scores = tuple(sum(row) for row in t.weights)
     return ScoreTable(Rule.BORDA, scores), _argmax_set(Rule.BORDA, scores)
 
@@ -109,7 +104,7 @@ def maximin(t: WeightedTournament) -> tuple[ScoreTable, WinnerSet]:
     """Maximin scores (worst head-to-head performance) and their argmax set.
 
     With a single candidate the empty minimum is taken to be n."""
-    _require_complete(t)
+    t = t.as_complete()
     m = t.m
     scores = tuple(
         min((t.weights[i][j] for j in range(m) if j != i), default=t.n) for i in range(m)
@@ -133,7 +128,7 @@ def weighted_uncovered_set(t: WeightedTournament) -> WinnerSet:
     with the uncovered set.  Degenerate even-n tournaments in which two
     candidates are tied on every coordinate can leave the set empty.
     """
-    _require_complete(t)
+    t = t.as_complete()
     m = t.m
     w = t.weights
     winners = []
@@ -150,7 +145,7 @@ def _wuc_reaches(w, m: int, y: int, x: int) -> bool:
 
 
 def is_wuc_winner(t: WeightedTournament, w: int) -> bool:
-    _require_complete(t)
+    t = t.as_complete()
     return all(_wuc_reaches(t.weights, t.m, w, x) for x in range(t.m) if x != w)
 
 

@@ -354,6 +354,22 @@ def test_generate_random_roundtrip(tmp_path, capsys):
     assert out2 == out
 
 
+@pytest.mark.parametrize("target", ["missing", "directory"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sms", "--rule", "uc", "--winner", "a", U4),
+        ("generate", "random", "--candidates", "3", "--seed", "1"),
+    ],
+)
+def test_unwritable_out_exits_2(tmp_path, capsys, argv, target):
+    path = tmp_path / "no-such-dir" / "x.trn" if target == "missing" else tmp_path
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write ")
+
+
 def test_generate_setcover(capsys):
     code, out, _ = run(
         capsys, "generate", "setcover", "--elements", "3", "--subsets", "3", "--seed", "1"

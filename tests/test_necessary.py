@@ -1,10 +1,12 @@
 """Necessary-winner characterizations against the completion oracle."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wincert.model import PartialTournament, Rule, extends
+from wincert.model import PartialTournament, Rule, enumerate_completions, extends
 from wincert.necessary import (
     failing_opponents,
     is_necessary_winner,
@@ -13,7 +15,7 @@ from wincert.necessary import (
     score_margins,
 )
 from wincert.oracle import random_partial_tournament, random_tournament
-from wincert.solutions import winners
+from wincert.solutions import score_table, winners
 
 ALL_RULES = list(Rule)
 WEIGHTED_RULES = [Rule.BORDA, Rule.MM, Rule.WUC]
@@ -118,23 +120,25 @@ def test_failing_opponents_named():
 # ---------------------------------------------------------------------------
 
 
-def test_equivalence_exhaustive_unit_m3():
-    """All partial 1-weighted tournaments on 3 candidates (27 edge states),
-    every candidate, every unit rule."""
-    import itertools
-
+def unit_partials_m3():
+    """All partial 1-weighted tournaments on 3 candidates (27 edge states)."""
     states = [(0, 0), (1, 0), (0, 1)]
     pairs = [(0, 1), (0, 2), (1, 2)]
     for assignment in itertools.product(states, repeat=3):
         matrix = [[0] * 3 for _ in range(3)]
         for (i, j), (wij, wji) in zip(pairs, assignment):
             matrix[i][j], matrix[j][i] = wij, wji
-        g = PartialTournament.from_pairs("abc", 1).replace_weights(matrix)
-        for rule in (Rule.TC, Rule.UC, Rule.COP, Rule.BORDA, Rule.MM, Rule.WUC):
+        yield PartialTournament.from_pairs("abc", 1).replace_weights(matrix)
+
+
+def test_equivalence_exhaustive_unit_m3():
+    """Every unit partial on 3 candidates, every candidate, every rule."""
+    for g in unit_partials_m3():
+        for rule in ALL_RULES:
             for w in range(3):
                 assert is_necessary_winner(g, w, rule) == is_necessary_winner_bruteforce(
                     g, w, rule
-                ), (matrix, rule, w)
+                ), (g.weights, rule, w)
 
 
 @given(st.integers(0, 10**6), st.integers(2, 4))
@@ -157,6 +161,56 @@ def test_equivalence_random_unit_m4(seed):
             assert is_necessary_winner(g, w, rule) == is_necessary_winner_bruteforce(
                 g, w, rule
             ), (g.weights, rule, w)
+
+
+def reached(mu, w, steps):
+    """Candidates w reaches in at most ``steps`` positive-weight steps."""
+    seen = frontier = {w}
+    for _ in range(steps):
+        frontier = {v for u in frontier for v in range(len(mu)) if mu[u][v]} - seen
+        seen = seen | frontier
+    return seen
+
+
+def beaten_pairs(rule, t):
+    """Pairs (w, c) such that c beats w in the complete tournament t:
+    c lies outside w's reach (tc, and uc within two steps), c
+    weighted-covers w (wuc), or c outscores w (cop, borda, mm)."""
+    m, mu = t.m, t.weights
+    if rule.spec.has_scores:
+        s = score_table(rule, t).scores
+        return {(w, c) for w in range(m) for c in range(m) if s[c] > s[w]}
+    if rule is Rule.WUC:
+        return {
+            (w, c)
+            for w in range(m)
+            for c in range(m)
+            if c != w
+            and mu[c][w] >= mu[w][c]
+            and all(mu[c][z] >= mu[w][z] for z in range(m) if z not in (w, c))
+        }
+    steps = 2 if rule is Rule.UC else m
+    return {(w, c) for w in range(m) for c in set(range(m)) - reached(mu, w, steps)}
+
+
+def test_failing_opponents_match_bruteforce():
+    """failing_opponents names exactly the opponents that beat w in some
+    completion, on every unit partial at m=3 and on seeded partials."""
+    partials = list(unit_partials_m3()) + [
+        random_partial_tournament(m, n, seed, max_open_pairs=4)
+        for m, n in ((4, 1), (3, 2), (4, 2), (3, 3), (4, 3))
+        for seed in range(150)
+    ]
+    for g in partials:
+        rules = ALL_RULES if g.n == 1 else WEIGHTED_RULES
+        beaten = {rule: set() for rule in rules}
+        for t in enumerate_completions(g):
+            for rule in rules:
+                beaten[rule] |= beaten_pairs(rule, t)
+        for rule in rules:
+            for w in range(g.m):
+                expected = tuple(c for c in range(g.m) if (w, c) in beaten[rule])
+                assert failing_opponents(g, w, rule) == expected, (g.weights, rule, w)
 
 
 # ---------------------------------------------------------------------------

@@ -534,6 +534,10 @@ def random_claims(seed):
 
 @pytest.mark.parametrize("block", range(4))
 def test_verify_matches_rebuild_loop_on_random_claims(block):
+    # is_necessary_winner reads the same aggregates as verify_support, so
+    # this checks the per-unit re-checks against a full re-run; the
+    # aggregates themselves are checked against brute force in
+    # tests/test_necessary.py.
     for seed in range(block * 100, (block + 1) * 100):
         for claim in random_claims(seed):
             assert verdict_of(claim.base, claim) == reference_verdict(claim, is_necessary_winner), (
