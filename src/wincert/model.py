@@ -11,7 +11,7 @@ safe to share across threads.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Mapping
 
@@ -117,12 +117,15 @@ class CandidateSet:
     tie-breaking order used by every deterministic choice downstream."""
 
     labels: tuple[str, ...]
+    _positions: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.labels:
             raise ValueError("candidate set must be non-empty")
-        if len(set(self.labels)) != len(self.labels):
+        positions = {lab: k for k, lab in enumerate(self.labels)}
+        if len(positions) != len(self.labels):
             raise ValueError("candidate labels must be unique")
+        object.__setattr__(self, "_positions", positions)
         for lab in self.labels:
             if not lab or any(ch.isspace() for ch in lab) or lab.startswith("#"):
                 raise ValueError(f"invalid candidate label {lab!r}")
@@ -136,8 +139,8 @@ class CandidateSet:
 
     def index(self, label: str) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._positions[label]
+        except KeyError:
             raise ValueError(f"unknown candidate label {label!r}") from None
 
 

@@ -98,6 +98,16 @@ def test_roundtrip_parse_serialize(seed, m, n):
     assert parse_tournament(serialize_tournament(g)) == g
 
 
+def test_candidate_index_is_label_position():
+    labels = tuple(f"c{i}" for i in range(50))
+    cands = CandidateSet(labels)
+    assert [cands.index(lab) for lab in labels] == list(range(50))
+    with pytest.raises(ValueError, match="unknown candidate label 'zz'"):
+        cands.index("zz")
+    twin = CandidateSet(labels)
+    assert twin == cands and hash(twin) == hash(cands)
+
+
 def _valid_label(label: str) -> bool:
     try:
         CandidateSet((label,))
